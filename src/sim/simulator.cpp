@@ -20,10 +20,10 @@ std::string to_string(SimDuration d) {
 Simulator::Simulator(Engine engine) : engine_(engine) { obs_.bind_clock(&now_); }
 
 Simulator::~Simulator() {
-  // Destroy queued callables without running them.
+  // Destroy pending callables without running them.
   auto scrap = [this](const Ref& r) {
     EventRec& rc = rec(r.rec);
-    rc.thunk(rc, /*run=*/false);
+    if (auto thunk = std::exchange(rc.thunk, nullptr)) thunk(rc, /*run=*/false);
   };
   for (const Ref& r : active_) scrap(r);
   for (const Ref& r : overflow_) scrap(r);
@@ -45,14 +45,14 @@ std::uint32_t Simulator::alloc_rec() {
 }
 
 EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
-  EventId id = next_id_++;
-  next_seq_++;  // kept in lockstep with ids so both engines agree on order
-  Ref r{when.ns(), id, idx};
+  Ref r{when.ns(), scheduled_++, idx};
   std::int64_t slot = r.when >> kGranShift;
   // slot < active_slot_ happens when the window was advanced past `now`
-  // (run_until peeked at a far event); the active heap orders by (when, id)
+  // (run_until peeked at a far event); the active heap orders by (when, seq)
   // and is always drained before the ring, so early events stay correct.
-  if (slot <= active_slot_) {
+  // The legacy engine keeps everything in the active heap, so its ring and
+  // overflow stay empty.
+  if (slot <= active_slot_ || engine_ == Engine::legacy_heap) {
     active_.push_back(r);
     std::push_heap(active_.begin(), active_.end(), RefLater{});
   } else if (slot - active_slot_ < static_cast<std::int64_t>(kSlots)) {
@@ -64,9 +64,8 @@ EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
     overflow_.push_back(r);
     std::push_heap(overflow_.begin(), overflow_.end(), RefLater{});
   }
-  ++size_;
-  peak_pending_ = std::max(peak_pending_, pending());
-  return id;
+  peak_pending_ = std::max(peak_pending_, ++pending_);
+  return (EventId{rec(idx).gen} << 32) | idx;
 }
 
 void Simulator::activate_slot(std::int64_t abs_slot) {
@@ -139,59 +138,34 @@ bool Simulator::refill() {
 
 void Simulator::dispatch_ref(const Ref& r) {
   EventRec& rc = rec(r.rec);
-  if (!cancelled_.empty()) {
-    if (auto it = cancelled_.find(r.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      rc.thunk(rc, /*run=*/false);
-      free_rec(r.rec);
-      return;
-    }
+  // A null thunk means the event was cancelled: just reclaim the record.
+  if (auto thunk = std::exchange(rc.thunk, nullptr)) {
+    retire(rc);  // before running, so cancel() from the callback is false
+    --pending_;
+    now_ = SimTime(r.when);
+    thunk(rc, /*run=*/true);
   }
-  now_ = SimTime(r.when);
-  auto thunk = rc.thunk;
-  thunk(rc, /*run=*/true);
-  free_rec(r.rec);
-}
-
-EventId Simulator::legacy_schedule_at(SimTime when, std::function<void()> fn) {
-  EventId id = next_id_++;
-  legacy_queue_.push(LegacyEntry{when, next_seq_++, id, std::move(fn)});
-  peak_pending_ = std::max(peak_pending_, pending());
-  return id;
-}
-
-void Simulator::legacy_dispatch(LegacyEntry& e) {
-  if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-    cancelled_.erase(it);
-    return;
-  }
-  now_ = e.when;
-  auto fn = std::move(e.fn);
-  fn();
+  free_list_.push_back(r.rec);
 }
 
 bool Simulator::cancel(EventId id) {
-  // Lazy cancellation: the entry stays queued but is skipped at dispatch.
-  if (id == 0 || id >= next_id_) return false;
-  return cancelled_.insert(id).second;
+  const auto idx = static_cast<std::uint32_t>(id);
+  if (idx >= chunks_.size() << kChunkShift) return false;
+  EventRec& rc = rec(idx);
+  if (rc.gen != id >> 32 || rc.thunk == nullptr) return false;
+  auto thunk = std::exchange(rc.thunk, nullptr);
+  retire(rc);
+  --pending_;
+  thunk(rc, /*run=*/false);  // the queue entry is dropped when it surfaces
+  return true;
 }
 
 std::size_t Simulator::run() {
   std::size_t n = 0;
-  if (engine_ == Engine::legacy_heap) {
-    while (!legacy_queue_.empty()) {
-      LegacyEntry e = std::move(const_cast<LegacyEntry&>(legacy_queue_.top()));
-      legacy_queue_.pop();
-      legacy_dispatch(e);
-      ++n;
-    }
-    return n;
-  }
   while (refill()) {
     std::pop_heap(active_.begin(), active_.end(), RefLater{});
     Ref r = active_.back();
     active_.pop_back();
-    --size_;
     dispatch_ref(r);
     ++n;
   }
@@ -200,21 +174,10 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::run_until(SimTime deadline) {
   std::size_t n = 0;
-  if (engine_ == Engine::legacy_heap) {
-    while (!legacy_queue_.empty() && legacy_queue_.top().when <= deadline) {
-      LegacyEntry e = std::move(const_cast<LegacyEntry&>(legacy_queue_.top()));
-      legacy_queue_.pop();
-      legacy_dispatch(e);
-      ++n;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return n;
-  }
   while (refill() && active_.front().when <= deadline.ns()) {
     std::pop_heap(active_.begin(), active_.end(), RefLater{});
     Ref r = active_.back();
     active_.pop_back();
-    --size_;
     dispatch_ref(r);
     ++n;
   }

@@ -4,19 +4,26 @@
 // callbacks at future instants; run() dispatches them in (time, insertion)
 // order, so simulations are fully deterministic.
 //
-// Two interchangeable engines produce byte-identical dispatch order:
+// Every event lives in a chunked pool of small-buffer-optimized records
+// (captures up to 48 bytes never touch the allocator).  An EventId is
+// (generation << 32) | pool index: cancel() checks the record's generation,
+// destroys the callable at once and marks the record dead, so the queue
+// entry is dropped without any lookup when it reaches the front.  Firing
+// or cancelling bumps the generation, which makes every older id for that
+// record stale; the generation skips 0, so 0 is never a valid id.
 //
-//  * Engine::pooled (default) — events live in a chunked pool of
-//    small-buffer-optimized records (captures up to 48 bytes never touch
-//    the allocator).  Near-future events go into a 1024-slot bucket ring
-//    (4.096 us granularity, ~4.2 ms horizon); far events fall back to a
-//    binary heap and migrate into the ring as the window advances.  Within
-//    a bucket, events are ordered by (time, id); ids are issued in schedule
-//    order, so dispatch order is exactly the classic (time, insertion)
-//    order.
+// Queue entries are ordered by (time, schedule sequence), the classic
+// (time, insertion) order.  Two interchangeable queues produce
+// byte-identical dispatch order:
 //
-//  * Engine::legacy_heap — the original std::function binary heap, kept so
-//    determinism tests can assert both engines replay a seed identically.
+//  * Engine::pooled (default) — near-future events go into a 1024-slot
+//    bucket ring (4.096 us granularity, ~4.2 ms horizon); far events fall
+//    back to a binary heap and migrate into the ring as the window
+//    advances.
+//
+//  * Engine::legacy_heap — one plain binary heap over the same records and
+//    ids, kept as the parity oracle for the ring: determinism tests assert
+//    both engines replay a seed identically.
 #pragma once
 
 #include <array>
@@ -24,12 +31,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,7 +43,8 @@
 
 namespace xunet::sim {
 
-/// Handle for a scheduled event; used to cancel timers.
+/// Handle for a scheduled event, used to cancel it: (generation << 32) |
+/// pool index.  Never 0, so 0 can mean "not armed".
 using EventId = std::uint64_t;
 
 /// Discrete-event simulator: event queue + clock + per-simulation logger.
@@ -72,31 +77,30 @@ class Simulator {
   template <typename F>
   EventId schedule_at(SimTime when, F&& fn) {
     assert(when >= now_);
-    if (engine_ == Engine::legacy_heap)
-      return legacy_schedule_at(when, std::function<void()>(std::forward<F>(fn)));
     std::uint32_t idx = alloc_rec();
     bind(rec(idx), std::forward<F>(fn));
     return insert_ref(when, idx);
   }
 
-  /// Cancel a scheduled event.  Returns true if the event was still pending.
+  /// Cancel a scheduled event and destroy its callable.  Returns true only
+  /// if the event was still pending; false for 0, for an id whose event
+  /// already fired, is running or was cancelled, and for a stale id whose
+  /// record now holds a newer event (which is left alone).  O(1).
   bool cancel(EventId id);
 
-  /// Run events until the queue empties.  Returns the number dispatched.
+  /// Run events until the queue empties.  Returns the number of queue
+  /// entries retired: events run plus cancelled entries dropped.
   std::size_t run();
 
   /// Run events with timestamp <= deadline; the clock ends at `deadline`
-  /// even if the queue empties earlier.  Returns the number dispatched.
+  /// even if the queue empties earlier.  Returns entries retired, as run().
   std::size_t run_until(SimTime deadline);
 
   /// Advance by `d` from the current time (convenience over run_until).
   std::size_t run_for(SimDuration d) { return run_until(now_ + d); }
 
-  /// Number of events currently pending.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    std::size_t queued = (engine_ == Engine::legacy_heap) ? legacy_queue_.size() : size_;
-    return queued - cancelled_.size();
-  }
+  /// Number of events scheduled that have neither fired nor been cancelled.
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// High-water mark of pending() over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
@@ -110,7 +114,7 @@ class Simulator {
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
  private:
-  // ---- pooled engine -----------------------------------------------------
+  friend struct SimulatorTestPeer;  ///< drives a record to the generation wrap
 
   static constexpr std::size_t kSboBytes = 48;
   static constexpr unsigned kGranShift = 12;  ///< 4096 ns bucket granularity
@@ -120,24 +124,25 @@ class Simulator {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   /// Type-erased event record.  Callables whose capture fits kSboBytes are
-  /// stored inline; larger ones spill to a single heap allocation.
+  /// stored inline; larger ones spill to one heap allocation whose pointer
+  /// is stored inline instead.
   struct EventRec {
     using Thunk = void (*)(EventRec&, bool run);
-    Thunk thunk = nullptr;
-    void* heap = nullptr;
+    Thunk thunk = nullptr;  ///< null unless the event is pending
+    std::uint32_t gen = 1;  ///< generation half of the pending event's id
     alignas(std::max_align_t) unsigned char sbo[kSboBytes];
   };
 
-  /// Queue handle: (when, id) is the dispatch key, rec indexes the pool.
+  /// Queue handle: (when, seq) is the dispatch key, rec indexes the pool.
   struct Ref {
     std::int64_t when;
-    EventId id;
+    std::uint64_t seq;
     std::uint32_t rec;
   };
   struct RefLater {
     bool operator()(const Ref& a, const Ref& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
@@ -153,9 +158,9 @@ class Simulator {
         f->~Fn();
       };
     } else {
-      r.heap = new Fn(std::forward<F>(fn));
+      ::new (static_cast<void*>(r.sbo)) Fn*(new Fn(std::forward<F>(fn)));
       r.thunk = [](EventRec& rr, bool run) {
-        Fn* f = static_cast<Fn*>(rr.heap);
+        Fn* f = *std::launder(reinterpret_cast<Fn**>(rr.sbo));
         if (run) (*f)();
         delete f;
       };
@@ -166,61 +171,38 @@ class Simulator {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 
+  /// The pending event's id is now stale; the generation skips 0.
+  static void retire(EventRec& r) noexcept {
+    if (++r.gen == 0) r.gen = 1;
+  }
+
   std::uint32_t alloc_rec();
-  void free_rec(std::uint32_t idx) { free_list_.push_back(idx); }
   EventId insert_ref(SimTime when, std::uint32_t idx);
   bool refill();               ///< make active_ non-empty if any event exists
   void activate_slot(std::int64_t abs_slot);
   void drain_overflow();       ///< pull overflow events now inside the window
   void dispatch_ref(const Ref& r);
-  [[nodiscard]] bool occ(std::size_t ring_idx) const noexcept {
-    return (occ_[ring_idx >> 6] >> (ring_idx & 63)) & 1u;
-  }
   void set_occ(std::size_t ring_idx) noexcept { occ_[ring_idx >> 6] |= 1ull << (ring_idx & 63); }
   void clear_occ(std::size_t ring_idx) noexcept {
     occ_[ring_idx >> 6] &= ~(1ull << (ring_idx & 63));
   }
 
-  // ---- legacy engine -----------------------------------------------------
-
-  struct LegacyEntry {
-    SimTime when;
-    std::uint64_t seq;  ///< tie-break so equal-time events run FIFO
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId legacy_schedule_at(SimTime when, std::function<void()> fn);
-  void legacy_dispatch(LegacyEntry& e);
-
   // ---- state -------------------------------------------------------------
 
   Engine engine_;
   SimTime now_{};
-  std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t scheduled_ = 0;  ///< events ever scheduled; the next seq
+  std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
-  std::unordered_set<EventId> cancelled_;
 
-  // Pooled engine state.
   std::vector<std::unique_ptr<EventRec[]>> chunks_;
   std::vector<std::uint32_t> free_list_;
-  std::vector<Ref> active_;    ///< min-heap of events in the active slot
+  std::vector<Ref> active_;    ///< min-heap of the active slot (legacy_heap: of every event)
   std::vector<Ref> overflow_;  ///< min-heap of events beyond the ring horizon
   std::array<std::vector<Ref>, kSlots> ring_;
   std::array<std::uint64_t, kSlots / 64> occ_{};
   std::int64_t active_slot_ = 0;  ///< window start; active_ holds this slot
   std::size_t ring_count_ = 0;
-  std::size_t size_ = 0;  ///< queued events (including lazily-cancelled)
-
-  // Legacy engine state.
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyLater> legacy_queue_;
 
   util::Logger logger_;
   obs::Observability obs_;

@@ -57,18 +57,13 @@ std::uint16_t TcpLayer::alloc_ephemeral_port() {
   for (int attempts = 0; attempts < 64 * 1024; ++attempts) {
     std::uint16_t p = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ >= 65535 ? 10'000 : next_ephemeral_ + 1;
-    bool taken = listeners_.contains(p);
-    if (!taken) {
-      for (const auto& [tuple, id] : by_tuple_) {
-        if (tuple.local_port == p) {
-          taken = true;
-          break;
-        }
-      }
-    }
-    if (!taken) return p;
+    if (!listeners_.contains(p) && !port_uses_.contains(p)) return p;
   }
   return 0;
+}
+
+void TcpLayer::add_tuple(const Conn& c) {
+  if (by_tuple_.emplace(c.tuple, c.id).second) ++port_uses_[c.tuple.local_port];
 }
 
 util::Result<void> TcpLayer::listen(std::uint16_t port, AcceptHandler on_accept) {
@@ -97,7 +92,7 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   c.snd_una = iss;
   c.snd_nxt = iss + 1;
   c.on_connect = std::move(on_done);
-  by_tuple_.emplace(c.tuple, c.id);
+  add_tuple(c);
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
 
@@ -310,7 +305,7 @@ void TcpLayer::handle_listen(std::uint16_t port, const Segment& s,
   next_iss_ += 0x10000;
   c.snd_una = iss;
   c.snd_nxt = iss + 1;
-  by_tuple_.emplace(c.tuple, c.id);
+  add_tuple(c);
   ConnId id = c.id;
   conns_.emplace(id, std::move(conn));
   emit(c, Flags{.syn = true, .ack = true}, {}, iss);
@@ -337,7 +332,10 @@ void TcpLayer::release(ConnId id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Conn& c = *it->second;
-  by_tuple_.erase(c.tuple);
+  if (by_tuple_.erase(c.tuple) != 0) {
+    auto use = port_uses_.find(c.tuple.local_port);
+    if (--use->second == 0) port_uses_.erase(use);
+  }
   if (c.on_released) {
     auto h = c.on_released;
     node_.simulator().schedule(sim::SimDuration{}, [h, id] { h(id); });

@@ -159,12 +159,17 @@ class TcpLayer {
   void release(ConnId id);
   Conn* find(ConnId id);
   const Conn* find(ConnId id) const;
+  /// Index `c` by its tuple and count the use of its local port.
+  void add_tuple(const Conn& c);
+  /// Next free port in [10000, 65535] round-robin, skipping ports held by
+  /// a listener or any connection (TIME_WAIT included); 0 when none is free.
   std::uint16_t alloc_ephemeral_port();
 
   ip::IpNode& node_;
   TcpConfig cfg_;
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
   std::map<TupleKey, ConnId> by_tuple_;
+  std::unordered_map<std::uint16_t, std::uint32_t> port_uses_;  ///< by_tuple_ entries per local port
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
   ConnId next_id_ = 1;
   std::uint16_t next_ephemeral_ = 10'000;

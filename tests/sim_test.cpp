@@ -1,10 +1,25 @@
 // sim_test.cpp — unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <optional>
+
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
 namespace xunet::sim {
+
+/// Sets the generation of a free pool record, so a test can reach the
+/// generation wrap without 2^32 schedule/fire cycles.
+struct SimulatorTestPeer {
+  static void set_generation(Simulator& sim, std::uint32_t idx, std::uint32_t gen) {
+    ASSERT_EQ(sim.rec(idx).thunk, nullptr) << "record must be free";
+    sim.rec(idx).gen = gen;
+  }
+};
+
 namespace {
 
 TEST(SimTime, Arithmetic) {
@@ -153,6 +168,103 @@ TEST(Simulator, BothEnginesAgreeOnDispatchOrder) {
   };
   EXPECT_EQ(run_with(Simulator::Engine::pooled),
             run_with(Simulator::Engine::legacy_heap));
+}
+
+// Contract of ids, cancel() and pending(), run against both engines.
+class EngineContract : public ::testing::TestWithParam<Simulator::Engine> {};
+
+INSTANTIATE_TEST_SUITE_P(Engines, EngineContract,
+                         ::testing::Values(Simulator::Engine::pooled,
+                                           Simulator::Engine::legacy_heap),
+                         [](const auto& info) {
+                           return info.param == Simulator::Engine::pooled ? "pooled"
+                                                                          : "legacy_heap";
+                         });
+
+TEST_P(EngineContract, CancelAfterFireReturnsFalse) {
+  Simulator sim(GetParam());
+  int fired = 0;
+  EventId id = sim.schedule(milliseconds(1), [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.schedule(milliseconds(1), [] {});
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST_P(EngineContract, CancelFromOwnCallbackReturnsFalse) {
+  Simulator sim(GetParam());
+  EventId id = 0;
+  std::optional<bool> cancelled;
+  id = sim.schedule(milliseconds(1), [&] { cancelled = sim.cancel(id); });
+  sim.run();
+  ASSERT_TRUE(cancelled.has_value());
+  EXPECT_FALSE(*cancelled);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST_P(EngineContract, StaleIdLeavesReusedRecordAlone) {
+  Simulator sim(GetParam());
+  EventId fired_id = sim.schedule(milliseconds(1), [] {});
+  sim.run();
+  EventId cancelled_id = sim.schedule(milliseconds(1), [] {});
+  EXPECT_TRUE(sim.cancel(cancelled_id));
+  sim.run();
+  bool ran = false;
+  EventId id = sim.schedule(milliseconds(1), [&] { ran = true; });
+  // All three events used the same pool record.
+  EXPECT_EQ(static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(fired_id));
+  EXPECT_EQ(static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(cancelled_id));
+  EXPECT_FALSE(sim.cancel(fired_id));
+  EXPECT_FALSE(sim.cancel(cancelled_id));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST_P(EngineContract, CancelDestroysTheCallableAtOnce) {
+  Simulator sim(GetParam());
+  auto token = std::make_shared<int>(0);
+  EventId id = sim.schedule(seconds(30), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);  // not held until the 30 s deadline
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.run(), 1u);  // the dead entry is retired without running
+}
+
+TEST_P(EngineContract, IdZeroIsNeverIssuedAcrossTheGenerationWrap) {
+  Simulator sim(GetParam());
+  bool ran = false;
+  EventId first = sim.schedule(milliseconds(1), [] {});
+  ASSERT_EQ(static_cast<std::uint32_t>(first), 0u);  // pool record 0
+  sim.run();
+  // Record 0 is free again; put it on the last generation before the wrap.
+  SimulatorTestPeer::set_generation(sim, 0, std::numeric_limits<std::uint32_t>::max());
+  EventId last = sim.schedule(milliseconds(1), [] {});
+  EXPECT_EQ(last, EventId{std::numeric_limits<std::uint32_t>::max()} << 32);
+  EXPECT_FALSE(sim.cancel(0));
+  sim.run();
+  EventId wrapped = sim.schedule(milliseconds(1), [&] { ran = true; });
+  EXPECT_NE(wrapped, 0u);
+  EXPECT_EQ(wrapped, EventId{1} << 32);  // generation 0 is skipped
+  EXPECT_FALSE(sim.cancel(0));
+  EXPECT_FALSE(sim.cancel(last));
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST_P(EngineContract, CancelOfUnissuedIdsIsFalse) {
+  Simulator sim(GetParam());
+  EXPECT_FALSE(sim.cancel(0));
+  EventId id = sim.schedule(milliseconds(1), [] {});
+  EXPECT_FALSE(sim.cancel(0));
+  EXPECT_FALSE(sim.cancel(id + 1));            // a record never used
+  EXPECT_FALSE(sim.cancel(id | 0xFFFF'FFFFu));  // beyond the pool
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 TEST(Timer, FiresOnce) {

@@ -15,24 +15,49 @@ using core::CallServer;
 using core::Testbed;
 
 TEST(Stress, SimulatorHandlesLargeEventVolumesWithCancellations) {
+  constexpr std::size_t kEvents = 100'000;
+  enum : char { pending, fired, cancelled };
   sim::Simulator sim;
   util::Rng rng(1);
-  std::uint64_t fired = 0;
+  std::vector<char> state(kEvents, pending);
+  std::uint64_t n_fired = 0, n_cancelled = 0;
   std::vector<sim::EventId> ids;
-  ids.reserve(100'000);
-  for (int i = 0; i < 100'000; ++i) {
+  ids.reserve(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
     ids.push_back(sim.schedule(sim::microseconds(static_cast<std::int64_t>(rng.below(1'000'000))),
-                               [&fired] { ++fired; }));
+                               [&state, &n_fired, i] {
+                                 state[i] = fired;
+                                 ++n_fired;
+                               }));
+    ASSERT_EQ(sim.pending(), i + 1);
   }
-  // Cancel a random half.
-  std::uint64_t cancelled = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (rng.chance(0.5) && sim.cancel(ids[i])) ++cancelled;
-  }
+  // Cancel a random half of all ids.  cancel() must be true exactly for
+  // events still pending, and false for ids already fired or cancelled.
+  auto cancel_half = [&] {
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      if (!rng.chance(0.5)) continue;
+      const bool was_pending = state[i] == pending;
+      ASSERT_EQ(sim.cancel(ids[i]), was_pending) << "event " << i;
+      if (was_pending) {
+        state[i] = cancelled;
+        ++n_cancelled;
+      }
+      ASSERT_EQ(sim.pending(), kEvents - n_fired - n_cancelled);
+    }
+  };
+  cancel_half();
+  EXPECT_GT(n_cancelled, 45'000u);
+  EXPECT_LT(n_cancelled, 55'000u);
+  sim.run_until(sim::SimTime(500'000'000));  // the midpoint
+  EXPECT_GT(n_fired, 20'000u);
+  EXPECT_EQ(sim.pending(), kEvents - n_fired - n_cancelled);
+  const std::uint64_t first_half_cancelled = n_cancelled;
+  cancel_half();  // a second random half, including fired ids
+  EXPECT_GT(n_cancelled - first_half_cancelled, 10'000u);
   sim.run();
-  EXPECT_EQ(fired + cancelled, 100'000u);
-  EXPECT_GT(cancelled, 45'000u);
-  EXPECT_LT(cancelled, 55'000u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(n_fired + n_cancelled, kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) EXPECT_NE(state[i], pending);
 }
 
 TEST(Stress, ProcessChurnLeavesNoDescriptors) {

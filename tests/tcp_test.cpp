@@ -229,6 +229,58 @@ TEST_F(TcpFixture, PeerAddrAndLocalPortExposed) {
   EXPECT_EQ(tb->local_port(s), 7);
 }
 
+TEST_F(TcpFixture, EphemeralPortsSkipEveryHeldPortAcrossTheWrap) {
+  std::vector<ConnId> b_accepted;
+  ASSERT_TRUE(tb->listen(7, [&](ConnId c) { b_accepted.push_back(c); }).ok());
+  auto dial = [&] { return ta->connect(b.address(), 7, [](util::Result<ConnId>) {}); };
+
+  // Port 10000 is held by a connection accepted on it after its listener
+  // went away.
+  ASSERT_TRUE(ta->listen(10'000, [](ConnId) {}).ok());
+  ASSERT_TRUE(tb->connect(a.address(), 10'000, [](util::Result<ConnId>) {}).ok());
+  sim.run_for(sim::milliseconds(50));
+  ta->stop_listening(10'000);
+
+  // The allocator starts at 10000, so these get 10001..10003.
+  auto live = dial(), lingering = dial(), aborted = dial();
+  ASSERT_TRUE(live.ok() && lingering.ok() && aborted.ok());
+  EXPECT_EQ(ta->local_port(*live), 10'001);
+  EXPECT_EQ(ta->local_port(*lingering), 10'002);
+  EXPECT_EQ(ta->local_port(*aborted), 10'003);
+  sim.run_for(sim::milliseconds(50));
+  ASSERT_EQ(b_accepted.size(), 3u);
+  ASSERT_TRUE(ta->close(*lingering).ok());
+  ASSERT_TRUE(tb->close(b_accepted[1]).ok());
+  sim.run_for(sim::milliseconds(100));
+  ASSERT_EQ(ta->state(*lingering), State::time_wait);
+  ta->abort(*aborted);  // releases 10003 at once
+
+  // Listeners hold everything else except 65534 and 65535.
+  for (std::uint32_t p = 10'004; p <= 65'533; ++p) {
+    ASSERT_TRUE(ta->listen(static_cast<std::uint16_t>(p), [](ConnId) {}).ok());
+  }
+  auto top1 = dial(), top2 = dial(), wrapped = dial();
+  ASSERT_TRUE(top1.ok() && top2.ok() && wrapped.ok());
+  EXPECT_EQ(ta->local_port(*top1), 65'534);
+  EXPECT_EQ(ta->local_port(*top2), 65'535);
+  EXPECT_EQ(ta->local_port(*wrapped), 10'003);  // wrapped past 10000..10002
+  EXPECT_EQ(dial().error(), util::Errc::no_resources);
+
+  // A released port is free again immediately...
+  ta->abort(*top2);
+  auto again = dial();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(ta->local_port(*again), 65'535);
+  EXPECT_EQ(dial().error(), util::Errc::no_resources);
+
+  // ...and a TIME_WAIT port once 2xMSL has passed.
+  sim.run_for(ta->config().msl * 2 + sim::seconds(1));
+  auto after_wait = dial();
+  ASSERT_TRUE(after_wait.ok());
+  EXPECT_EQ(ta->local_port(*after_wait), 10'002);
+  EXPECT_EQ(dial().error(), util::Errc::no_resources);
+}
+
 // Segment wire-format unit tests.
 
 TEST(Segment, RoundTrip) {
