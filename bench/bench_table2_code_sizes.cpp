@@ -8,7 +8,11 @@
 // source).  Absolute numbers differ — C++ with doc comments vs. 1994 C —
 // but the *relative* structure (sighost dominates; the kernel pieces are
 // each a few hundred lines) is the reproducible claim.
+//
+// BENCH_code_sizes.json records lines and code lines per component and for
+// all of src/, so every commit's net change in code size is on record.
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "util/loc_scan.hpp"
 
 namespace xunet::bench {
@@ -22,43 +26,44 @@ void run() {
   struct Entry {
     util::ComponentSize size;
     std::string paper_lines;
+    std::string key;  ///< metric prefix in BENCH_code_sizes.json
   };
   // Map this repo onto the paper's exact component rows (Table 2 lists
   // sighost, user lib, /dev/anand, PF_XUNET, IPPROTO_ATM and Orc).
   std::vector<Entry> components;
   components.push_back({util::scan_component("Sighost (src/signaling)",
                                              root + "/src/signaling"),
-                        "1204"});
+                        "1204", "signaling"});
   components.push_back(
       {util::scan_component("User lib (src/userlib)", root + "/src/userlib"),
-       "373"});
+       "373", "userlib"});
   components.push_back(
       {util::scan_files("/dev/anand", {kern + "anand.hpp", kern + "anand.cpp"}),
-       "382"});
+       "382", "anand"});
   components.push_back(
       {util::scan_files("PF_XUNET + socket layer",
                         {kern + "kernel.hpp", kern + "kernel.cpp",
                          kern + "mbuf.hpp", kern + "mbuf.cpp",
                          kern + "config.hpp"}),
-       "463"});
+       "463", "pf_xunet"});
   components.push_back(
       {util::scan_files("IPPROTO_ATM",
                         {kern + "proto_atm.hpp", kern + "proto_atm.cpp"}),
-       "164"});
+       "164", "ipproto_atm"});
   components.push_back(
       {util::scan_files("Orc driver + Hobbit model",
                         {kern + "orc.hpp", kern + "orc.cpp",
                          kern + "hobbit.hpp", kern + "hobbit.cpp"}),
-       "96"});
+       "96", "orc"});
   components.push_back(
       {util::scan_component("ATM substrate (src/atm)", root + "/src/atm"),
-       "n/a (Hobbit firmware + switches)"});
+       "n/a (Hobbit firmware + switches)", "atm"});
   components.push_back(
       {util::scan_component("IP substrate (src/ip)", root + "/src/ip"),
-       "n/a (kernel IP)"});
+       "n/a (kernel IP)", "ip"});
   components.push_back(
       {util::scan_component("TCP model (src/tcpsim)", root + "/src/tcpsim"),
-       "n/a (kernel TCP)"});
+       "n/a (kernel TCP)", "tcpsim"});
 
   util::TextTable t("Measured code sizes (this reproduction)");
   t.header({"Component", "Files", "Lines (w/ comments)", "Code lines", "KB",
@@ -77,11 +82,20 @@ void run() {
           std::to_string(whole.lines) + " lines of C++ (" +
               util::fmt(double(whole.bytes) / 1024.0, 0) + " KB)");
   compare("largest single component", "sighost (1204 lines)",
-          "signaling (" +
-              std::to_string(
-                  util::scan_component("sig", root + "/src/signaling").lines) +
+          "signaling (" + std::to_string(components.front().size.lines) +
               " lines)");
 
+  JsonReport json("code_sizes");
+  for (const Entry& e : components) {
+    json.metric(e.key + ".lines", static_cast<double>(e.size.lines));
+    json.metric(e.key + ".code_lines", static_cast<double>(e.size.code_lines));
+  }
+  json.metric("src.files", static_cast<double>(whole.files));
+  json.metric("src.lines", static_cast<double>(whole.lines));
+  json.metric("src.code_lines", static_cast<double>(whole.code_lines));
+  json.info("lines", "every line of .hpp/.cpp source, comments included");
+  json.info("code_lines", "non-blank lines that are not only a comment");
+  (void)json.write();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // obs.hpp — the per-simulation observability context.
 //
-// One Observability lives inside each sim::Simulator (next to the Logger),
+// One Observability lives inside each sim::Simulator,
 // bundling the TraceBuffer and the MetricsRegistry and carrying its own
 // view of the simulated clock, so a component holding only an
 // `Observability*` can record correctly-stamped events without a Simulator

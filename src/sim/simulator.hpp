@@ -39,7 +39,6 @@
 
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
-#include "util/logging.hpp"
 
 namespace xunet::sim {
 
@@ -47,7 +46,7 @@ namespace xunet::sim {
 /// pool index.  Never 0, so 0 can mean "not armed".
 using EventId = std::uint64_t;
 
-/// Discrete-event simulator: event queue + clock + per-simulation logger.
+/// Discrete-event simulator: event queue + clock + observability context.
 class Simulator {
  public:
   /// Event-queue implementation.  Both dispatch in identical order.
@@ -104,9 +103,6 @@ class Simulator {
 
   /// High-water mark of pending() over the simulator's lifetime.
   [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
-
-  /// The per-simulation logger shared by every component.
-  [[nodiscard]] util::Logger& logger() noexcept { return logger_; }
 
   /// The per-simulation observability context (trace buffer + metrics),
   /// clock-bound to this simulator.  Tracing is off by default.
@@ -204,7 +200,6 @@ class Simulator {
   std::int64_t active_slot_ = 0;  ///< window start; active_ holds this slot
   std::size_t ring_count_ = 0;
 
-  util::Logger logger_;
   obs::Observability obs_;
 };
 

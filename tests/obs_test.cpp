@@ -15,7 +15,6 @@
 #include "obs/health.hpp"
 #include "obs/report.hpp"
 #include "util/alloc_hook.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace xunet {
@@ -632,21 +631,6 @@ TEST(CallTraceIndex, OrphanedFragmentsSurfaceInsteadOfDisappearing) {
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->name, "call.serve");
   EXPECT_NE(idx.waterfall(7).find("call.serve"), std::string::npos);
-}
-
-// -------------------------------------------------------------------- Logger
-//
-// Regression: emitted() must count suppressed-by-no-sink records too — the
-// §9 bench counts maintenance records through it before any sink exists.
-
-TEST(Logger, EmittedCountsRecordsEvenWithNoSinks) {
-  util::Logger log;  // no sinks registered
-  log.set_threshold(util::LogLevel::info);
-  log.info("sighost@mh.rt", "maintenance record");
-  log.warn("sighost@mh.rt", "another");
-  EXPECT_EQ(log.emitted(), 2u);
-  log.debug("sighost@mh.rt", "below threshold");
-  EXPECT_EQ(log.emitted(), 2u);  // threshold still filters
 }
 
 // ------------------------------------------------- end-to-end traced scenario

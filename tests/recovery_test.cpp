@@ -214,6 +214,7 @@ TEST(CrashRecovery, EstablishedCallsSurviveCalleeSighostRestart) {
   EXPECT_EQ(st.orphans_torn_down, 0u); // nothing was dangling
   EXPECT_EQ(rig.tb->router(0).sighost->stats().resyncs, 1u);
   EXPECT_EQ(rig.tb->router(1).sighost->vci_mapping_size(), 5u);
+  EXPECT_EQ(rig.tb->router(1).sighost->live_calls(), 5u);  // only the claimed
 
   // Established calls still carry data...
   ASSERT_TRUE(rig.client->send(calls[2], util::Buffer(100, 0xbb)).ok());
@@ -232,6 +233,8 @@ TEST(CrashRecovery, EstablishedCallsSurviveCalleeSighostRestart) {
   rig.client->close_call(calls[4]);
   rig.tb->sim().run_for(sim::seconds(5));
   EXPECT_EQ(rig.tb->router(1).sighost->vci_mapping_size(), 5u);  // 5 + new - closed
+  EXPECT_EQ(rig.tb->router(1).sighost->live_calls(), 5u);
+  EXPECT_EQ(rig.tb->router(0).sighost->live_calls(), 5u);
 }
 
 TEST(CrashRecovery, VciMappingOrderIsAscendingAndSurvivesResync) {

@@ -125,6 +125,9 @@ const std::map<std::string, std::vector<std::string>>& required_keys() {
       {"qos",
        {"cbr_reserved_mbps", "cbr_goodput_mbps", "cbr_goodput_fraction",
         "policed_cells", "ubr_shed_cells"}},
+      {"code_sizes",
+       {"signaling.lines", "signaling.code_lines", "src.lines",
+        "src.code_lines"}},
   };
   return keys;
 }
