@@ -126,14 +126,26 @@ TEST(Aal5, LostLastCellMergesFramesAndIsDetected) {
 }
 
 TEST(Aal5, CorruptedCellFailsCrc) {
+  // A 99-byte payload fills 3 cells (144-byte PDU) and is not a multiple of
+  // 8, so the CRC's byte-at-a-time tail is exercised.  Flip one bit at every
+  // byte position of the PDU: payload, pad, and the UU, CPI, length and CRC
+  // trailer fields.
+  constexpr std::size_t kPayload = 99;
+  ASSERT_EQ(cells_for_payload(kPayload), 3u);
   Aal5Segmenter seg;
-  Collector c;
-  auto cells = seg.segment(5, make_payload(60, 7));
-  ASSERT_TRUE(cells.ok());
-  (*cells)[0].payload[10] ^= 0x80;
-  for (const Cell& cell : *cells) c.reasm.cell_arrival(cell);
-  ASSERT_EQ(c.errors.size(), 1u);
-  EXPECT_EQ(c.errors[0].second, Aal5Error::crc_mismatch);
+  auto clean = seg.segment(5, make_payload(kPayload, 7));
+  ASSERT_TRUE(clean.ok());
+  for (std::size_t pos = 0; pos < 3 * kCellPayload; ++pos) {
+    SCOPED_TRACE(testing::Message() << "byte " << pos);
+    std::vector<Cell> cells = *clean;
+    cells[pos / kCellPayload].payload[pos % kCellPayload] ^=
+        static_cast<std::uint8_t>(1u << (pos % 8));
+    Collector c;
+    for (const Cell& cell : cells) c.reasm.cell_arrival(cell);
+    EXPECT_TRUE(c.frames.empty());
+    ASSERT_EQ(c.errors.size(), 1u);
+    EXPECT_EQ(c.errors[0].second, Aal5Error::crc_mismatch);
+  }
 }
 
 TEST(Aal5, OutOfOrderFramesDetectedViaUu) {

@@ -1,6 +1,8 @@
 // util_test.cpp — unit tests for the utility substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "util/buffer.hpp"
@@ -149,6 +151,79 @@ TEST(Crc32, DetectsSingleBitFlip) {
   std::uint32_t before = crc32(data);
   data[50] ^= 0x01;
   EXPECT_NE(crc32(data), before);
+}
+
+// Byte-at-a-time reference: the plain reflected-table CRC-32, kept here as
+// the oracle the production (sliced) implementation must match bit for bit.
+std::uint32_t reference_crc32(BytesView data) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+Buffer random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Buffer b(n);
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+  return b;
+}
+
+TEST(Crc32, MatchesByteAtATimeReferenceAtEveryLength) {
+  const Buffer data = random_bytes(65535, 1994);
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    const BytesView v(data.data(), n);
+    ASSERT_EQ(crc32(v), reference_crc32(v)) << "length " << n;
+  }
+  for (std::size_t n : {std::size_t{9180}, std::size_t{65535}}) {
+    const BytesView v(data.data(), n);
+    EXPECT_EQ(crc32(v), reference_crc32(v)) << "length " << n;
+  }
+}
+
+TEST(Crc32, UnalignedStartsMatchReference) {
+  const Buffer data = random_bytes(1200, 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 1100; n += 7) {
+      const BytesView v(data.data() + off, n);
+      ASSERT_EQ(crc32(v), reference_crc32(v)) << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32, RandomSplitsMatchOneShot) {
+  Rng rng(48);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.below(10000));
+    const Buffer data = random_bytes(n, static_cast<std::uint64_t>(trial));
+    const std::uint32_t whole = crc32(data);
+    ASSERT_EQ(whole, reference_crc32(data));
+
+    // Random chunk sizes, empty updates included.
+    Crc32 split;
+    for (std::size_t at = 0; at < n;) {
+      const std::size_t len = std::min<std::size_t>(rng.below(40), n - at);
+      split.update({data.data() + at, len});
+      at += len;
+    }
+    split.update({});
+    EXPECT_EQ(split.value(), whole) << "trial " << trial;
+
+    // 48-byte cell-sized chunks, as the AAL5 segmenter feeds them.
+    Crc32 cells;
+    for (std::size_t at = 0; at < n; at += 48) {
+      cells.update({data.data() + at, std::min<std::size_t>(48, n - at)});
+    }
+    EXPECT_EQ(cells.value(), whole) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------- checksum

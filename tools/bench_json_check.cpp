@@ -114,8 +114,7 @@ std::string bench_name(const std::string& s) {
 const std::map<std::string, std::vector<std::string>>& required_keys() {
   static const std::map<std::string, std::vector<std::string>> keys = {
       {"datapath",
-       {"baseline_cells_per_sec", "cells_per_sec_wall", "speedup",
-        "peak_event_queue_depth", "allocs_per_cell"}},
+       {"cells_per_sec_wall", "peak_event_queue_depth", "allocs_per_cell"}},
       {"signaling",
        {"calls_per_sec_wall", "setup_ms_p50", "setup_ms_p90", "setup_ms_p99"}},
       {"scaling", {"open_connections_held"}},
