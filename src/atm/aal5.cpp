@@ -25,9 +25,7 @@ util::Result<void> Aal5Segmenter::emit(Vci vci, const util::BytesView* spans,
   if (total > kMaxFramePayload) return Errc::message_too_long;
   if (vci == kInvalidVci) return Errc::invalid_argument;
 
-  std::uint8_t seq = 0;
-  if (const std::uint8_t* s = seq_.find(vci)) seq = *s;
-  seq_.insert(vci, static_cast<std::uint8_t>(seq + 1));
+  const std::uint8_t seq = seq_[vci]++;
 
   // CPCS-PDU = payload | pad | trailer, a multiple of the cell payload
   // size — but the PDU is never materialized: each cell payload is filled
@@ -173,6 +171,6 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
   on_frame_(std::move(frame));
 }
 
-void Aal5Reassembler::release(Vci vci) noexcept { vcs_.erase(vci); }
+void Aal5Reassembler::release(Vci vci) { vcs_.erase(vci); }
 
 }  // namespace xunet::atm

@@ -7,7 +7,6 @@
 // each optionally serving IP-connected hosts over FDDI.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,15 +61,8 @@ struct TestbedConfig {
   /// exhaust the sub-floor PVC VCI space; calls must then stay between
   /// adjacent routers.
   bool adjacent_pvc_mesh = false;
-  /// Use the pre-fast-path binary-heap event engine (determinism studies).
-  bool use_legacy_engine = false;
-  /// Arrival-coalescing quantum for every ATM link; zero = exact instants.
-  sim::SimDuration cell_quantum{};
   /// build() calls bring_up() when set (the fluent pvc_mesh() sets it).
   bool auto_bring_up = false;
-  /// Hook run on the freshly built (and possibly brought-up) testbed —
-  /// typically installs wire faults or schedules crashes.
-  std::function<void(Testbed&)> on_built;
 
   // -- fluent builder -------------------------------------------------------
   TestbedConfig& routers(int n) { n_routers = n; return *this; }
@@ -87,19 +79,13 @@ struct TestbedConfig {
   TestbedConfig& shards(int n) { sighost_shards = n; return *this; }
   /// Signaling PVCs between chain-adjacent routers only.
   TestbedConfig& adjacent_pvc_only() { adjacent_pvc_mesh = true; return *this; }
-  TestbedConfig& legacy_event_engine() { use_legacy_engine = true; return *this; }
-  TestbedConfig& cell_coalescing(sim::SimDuration q) { cell_quantum = q; return *this; }
-  TestbedConfig& fault_plan(std::function<void(Testbed&)> fn) {
-    on_built = std::move(fn);
-    return *this;
-  }
 
   /// Build the deployment; brings it up when pvc_mesh() was requested
   /// (aborting on bring-up failure — a topology bug, not a runtime
-  /// condition), then runs the fault plan.
+  /// condition).
   [[nodiscard]] std::unique_ptr<Testbed> build() const;
-  /// Build the topology only — the caller owns bring_up(), and the fault
-  /// plan does not run.
+  /// Build the topology only — the caller owns bring_up(), so faults and
+  /// crashes can be installed before anything runs.
   [[nodiscard]] std::unique_ptr<Testbed> build_deferred() const;
 };
 

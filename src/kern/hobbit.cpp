@@ -40,10 +40,7 @@ util::Result<void> HobbitInterface::send(atm::Vci vci, const MbufChain& chain) {
 }
 
 void HobbitInterface::cell_arrival(const atm::Cell& cell) {
-  if (cell.rm) {
-    if (on_rm_) on_rm_(cell);
-    return;
-  }
+  if (cell.rm) return;
   reasm_.cell_arrival(cell);
 }
 

@@ -1,11 +1,11 @@
 // metrics.hpp — the unified metrics registry.
 //
-// One registry per Simulation unifies what used to live in scattered
-// util::Counters: monotonic counters, set-to-value gauges (the sighost's
-// five list lengths), and histograms built on util::Summary (latency
-// distributions).  Names are hierarchical dotted paths such as
-// "sighost.mh.rt.setup.latency_us" or "orc.berkeley.rt.tx.frames"; the
-// convention is <component>.<instance>.<what>[.<unit>].
+// One registry per Simulation holds every metric: monotonic counters,
+// set-to-value gauges (the sighost's five list lengths), and histograms
+// built on util::Summary (latency distributions).  Names are hierarchical
+// dotted paths such as "sighost.mh.rt.setup.latency_us" or
+// "orc.berkeley.rt.tx.frames"; the convention is
+// <component>.<instance>.<what>[.<unit>].
 //
 // counter()/gauge()/histogram() return stable references (the maps are
 // node-based), so hot paths resolve a metric once and increment through the

@@ -45,9 +45,6 @@ class Observability {
                         std::move(ids));
   }
   void end(SpanId span) { trace_.end(now(), span); }
-  /// End a span at a known future/past instant (e.g. queued work that will
-  /// finish at `at` — the sighost's serialized maintenance logging).
-  void end_at(sim::SimTime at, SpanId span) { trace_.end(at, span); }
   SpanId complete(sim::SimDuration dur, const char* component,
                   std::string name, std::string track, TraceIds ids = {}) {
     return trace_.complete(now(), dur, component, std::move(name),

@@ -365,7 +365,7 @@ void Sighost::send_peer(const std::string& peer, const Msg& m) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) return;
   Msg out = m;
-  if (cfg_.reliable_peer_delivery && sequenced(m.type)) {
+  if (sequenced(m.type)) {
     out.seq = it->second.next_seq++;
     queue_retransmit(peer, out);
   }
@@ -432,7 +432,7 @@ void Sighost::on_peer_msg(const std::string& peer, const Msg& m) {
       p.pending.erase(m.seq);  // Timer destructor cancels the retransmit.
       return;
     }
-    if (m.seq != 0 && cfg_.reliable_peer_delivery) {
+    if (m.seq != 0) {
       // Ack first (even for duplicates: the original ack may have been the
       // frame that was lost), then suppress redelivery.
       Msg ack;

@@ -75,11 +75,11 @@ struct SighostConfig {
   sim::SimDuration per_call_log_cost = sim::milliseconds(128);
   bool maintenance_logging = true;
   std::uint64_t cookie_seed = 0x5163'4057;
-  /// Reliable sighost↔sighost delivery over the signaling PVC: sequence
-  /// numbers, duplicate suppression, retransmission with exponential
-  /// backoff.  The PVC is a bare AAL5 pipe — cells it loses are simply
-  /// gone, so signaling must supply its own reliability.
-  bool reliable_peer_delivery = true;
+  /// First retransmission delay of sighost↔sighost delivery, which is
+  /// always reliable: sequence numbers, duplicate suppression and
+  /// retransmission with exponential backoff.  The signaling PVC is a bare
+  /// AAL5 pipe — cells it loses are simply gone, so signaling must supply
+  /// its own reliability.
   sim::SimDuration retransmit_base = sim::milliseconds(250);
   /// Uniform extra delay in [0, jitter) added per retransmission, so peers
   /// that lost the same frame don't retry in lockstep.

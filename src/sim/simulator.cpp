@@ -17,7 +17,7 @@ std::string to_string(SimDuration d) {
   return buf;
 }
 
-Simulator::Simulator(Engine engine) : engine_(engine) { obs_.bind_clock(&now_); }
+Simulator::Simulator() { obs_.bind_clock(&now_); }
 
 Simulator::~Simulator() {
   // Destroy pending callables without running them.
@@ -50,9 +50,7 @@ EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
   // slot < active_slot_ happens when the window was advanced past `now`
   // (run_until peeked at a far event); the active heap orders by (when, seq)
   // and is always drained before the ring, so early events stay correct.
-  // The legacy engine keeps everything in the active heap, so its ring and
-  // overflow stay empty.
-  if (slot <= active_slot_ || engine_ == Engine::legacy_heap) {
+  if (slot <= active_slot_) {
     active_.push_back(r);
     std::push_heap(active_.begin(), active_.end(), RefLater{});
   } else if (slot - active_slot_ < static_cast<std::int64_t>(kSlots)) {

@@ -13,17 +13,11 @@
 // record stale; the generation skips 0, so 0 is never a valid id.
 //
 // Queue entries are ordered by (time, schedule sequence), the classic
-// (time, insertion) order.  Two interchangeable queues produce
-// byte-identical dispatch order:
-//
-//  * Engine::pooled (default) — near-future events go into a 1024-slot
-//    bucket ring (4.096 us granularity, ~4.2 ms horizon); far events fall
-//    back to a binary heap and migrate into the ring as the window
-//    advances.
-//
-//  * Engine::legacy_heap — one plain binary heap over the same records and
-//    ids, kept as the parity oracle for the ring: determinism tests assert
-//    both engines replay a seed identically.
+// (time, insertion) order.  Near-future events go into a 1024-slot bucket
+// ring (4.096 us granularity, ~4.2 ms horizon); far events fall back to a
+// binary heap and migrate into the ring as the window advances.  A plain
+// (time, sequence) priority queue is the reference model the tests compare
+// this queue against.
 #pragma once
 
 #include <array>
@@ -49,15 +43,10 @@ using EventId = std::uint64_t;
 /// Discrete-event simulator: event queue + clock + observability context.
 class Simulator {
  public:
-  /// Event-queue implementation.  Both dispatch in identical order.
-  enum class Engine { pooled, legacy_heap };
-
-  explicit Simulator(Engine engine = Engine::pooled);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  [[nodiscard]] Engine engine() const noexcept { return engine_; }
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -185,7 +174,6 @@ class Simulator {
 
   // ---- state -------------------------------------------------------------
 
-  Engine engine_;
   SimTime now_{};
   std::uint64_t scheduled_ = 0;  ///< events ever scheduled; the next seq
   std::size_t pending_ = 0;
@@ -193,7 +181,7 @@ class Simulator {
 
   std::vector<std::unique_ptr<EventRec[]>> chunks_;
   std::vector<std::uint32_t> free_list_;
-  std::vector<Ref> active_;    ///< min-heap of the active slot (legacy_heap: of every event)
+  std::vector<Ref> active_;    ///< min-heap of the active slot
   std::vector<Ref> overflow_;  ///< min-heap of events beyond the ring horizon
   std::array<std::vector<Ref>, kSlots> ring_;
   std::array<std::uint64_t, kSlots / 64> occ_{};

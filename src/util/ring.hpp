@@ -89,16 +89,6 @@ class RingQueue {
     --size_;
   }
 
-  /// Pop the front element by move.
-  [[nodiscard]] T take_front() {
-    assert(size_ > 0);
-    T v = std::move(buf_[head_]);
-    scrub(buf_[head_]);
-    head_ = (head_ + 1) & (cap_ - 1);
-    --size_;
-    return v;
-  }
-
   void clear() {
     while (size_ > 0) pop_front();
   }

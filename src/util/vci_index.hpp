@@ -1,21 +1,22 @@
 // vci_index.hpp — a path-compressed, level-compressed binary trie over
 // unsigned integer keys (VCIs, route keys, VC ids).
 //
-// The control plane's lookup tables used to be std::maps and open-addressed
-// FlatMaps.  Ordered maps pay a pointer chase per comparison and FlatMap's
-// bucket order depends on insert/erase history, which forced every audit
-// surface to re-sort.  VciIndex follows the LPC-trie design of the Linux
-// FIB (fib_trie): internal nodes consume `bits` key bits at `shift`
-// (MSB-first), single-child chains are path-compressed away, and a node
-// whose subtree has churned enough is rebuilt bottom-up with the widest
-// branch factor its key density supports (halving/doubling on density).
+// It backs the per-cell and control-plane VCI tables: sighost's
+// VCI_mapping, the network's active-VC table, the switch route tables and
+// the per-VC AAL5 segmentation and reassembly state.  It follows the LPC-trie design
+// of the Linux FIB (fib_trie): internal nodes consume `bits` key bits at
+// `shift` (MSB-first), single-child chains are path-compressed away, and a
+// node whose subtree has churned enough is rebuilt bottom-up with the
+// widest branch factor its key density supports (halving/doubling on
+// density).  A table of one or two keys answers in one or two node hops.
 // MSB-first child order makes plain in-order traversal yield keys in
 // ascending order, so iteration is deterministic and already sorted — the
 // property the chaos invariants, resync protocol and byte-identical replay
 // pin.
 //
-// API mirrors util::FlatMap (find -> V*, insert -> bool(new), for_each,
-// keys) plus emplace (no overwrite), so either can back a table.
+// API: find -> V* (nullptr when absent), emplace (insert if absent),
+// insert (insert or overwrite), operator[] (default-constructs), erase,
+// for_each and keys (both ascending).
 #pragma once
 
 #include <bit>
@@ -88,8 +89,7 @@ class VciIndex {
     return true;
   }
 
-  /// Insert-or-assign; returns true when the key was newly inserted
-  /// (FlatMap-compatible).
+  /// Insert-or-assign; returns true when the key was newly inserted.
   bool insert(K key, V value) {
     if (V* v = find(key)) {
       *v = std::move(value);

@@ -2,6 +2,8 @@
 // two guarantees of §5.4 (cell loss within a frame, out-of-order frames).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "atm/aal5.hpp"
 #include "util/rng.hpp"
 
@@ -176,24 +178,70 @@ TEST(Aal5, ResynchronizesAfterSequenceGap) {
   EXPECT_EQ(c.errors.size(), 1u);
 }
 
-TEST(Aal5, InterleavedVcsReassembleIndependently) {
+/// Interleaved reassembly over `GetParam()` VCIs spread over 1–65534.  Every
+/// VC holds a partial frame while later VCs are first inserted into the
+/// per-VC table, and one VC is released mid-frame.
+class Aal5Interleaved : public ::testing::TestWithParam<std::size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(VcCounts, Aal5Interleaved, ::testing::Values(2u, 200u));
+
+TEST_P(Aal5Interleaved, VcsReassembleIndependently) {
+  const std::size_t n = GetParam();
+  std::vector<Vci> vcis{1, 65534};
+  util::Rng rng(n);
+  while (vcis.size() < n) {
+    const auto v = static_cast<Vci>(1 + rng.below(65534));
+    if (std::find(vcis.begin(), vcis.end(), v) == vcis.end()) vcis.push_back(v);
+  }
+  const std::size_t victim = n / 2;
   Aal5Segmenter seg;
   Collector c;
-  util::Buffer pa = make_payload(150, 20);
-  util::Buffer pb = make_payload(150, 21);
-  auto ca = seg.segment(10, pa);
-  auto cb = seg.segment(11, pb);
-  ASSERT_TRUE(ca.ok() && cb.ok());
-  // Interleave cell streams of the two VCs.
-  std::size_t i = 0, j = 0;
-  while (i < ca->size() || j < cb->size()) {
-    if (i < ca->size()) c.reasm.cell_arrival((*ca)[i++]);
-    if (j < cb->size()) c.reasm.cell_arrival((*cb)[j++]);
+  // Two rounds of one frame per VC, cells interleaved round-robin.  In the
+  // first round the victim's VC is torn down halfway through its frame and
+  // its remaining cells never arrive; in the second it starts afresh.
+  std::vector<std::vector<util::Buffer>> sent(2);
+  for (std::size_t round = 0; round < 2; ++round) {
+    std::vector<std::vector<Cell>> cells;
+    for (std::size_t i = 0; i < n; ++i) {
+      sent[round].push_back(make_payload(100 + 37 * ((i + round) % 11), 1000 * round + i));
+      auto r = seg.segment(vcis[i], sent[round].back());
+      ASSERT_TRUE(r.ok());
+      ASSERT_GE(r->size(), 3u);
+      cells.push_back(std::move(*r));
+    }
+    for (std::size_t k = 0;; ++k) {
+      bool any = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (round == 0 && i == victim && k == cells[i].size() / 2) {
+          seg.release(vcis[i]);
+          c.reasm.release(vcis[i]);
+          cells[i].clear();
+        }
+        if (k < cells[i].size()) {
+          c.reasm.cell_arrival(cells[i][k]);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
   }
-  ASSERT_EQ(c.frames.size(), 2u);
   EXPECT_TRUE(c.errors.empty());
-  for (const auto& f : c.frames) {
-    EXPECT_EQ(f.payload, f.vci == 10 ? pa : pb);
+  ASSERT_EQ(c.frames.size(), 2 * n - 1);
+  // Frames complete in the order their last cells arrive, so look each VC
+  // up by VCI within its round.
+  const auto round_end = c.frames.begin() + static_cast<long>(n - 1);
+  for (std::size_t round = 0; round < 2; ++round) {
+    const auto first = round == 0 ? c.frames.begin() : round_end;
+    const auto last = round == 0 ? round_end : c.frames.end();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (round == 0 && i == victim) continue;
+      const auto it = std::find_if(first, last, [&](const Aal5Frame& fr) {
+        return fr.vci == vcis[i];
+      });
+      ASSERT_NE(it, last) << "round " << round << " vci " << vcis[i];
+      EXPECT_EQ(it->payload, sent[round][i]) << "round " << round << " vci " << vcis[i];
+      EXPECT_EQ(it->seq, (round == 1 && i != victim) ? 1 : 0);
+    }
   }
 }
 

@@ -1,9 +1,9 @@
 // determinism_test.cpp — locks in two fast-path guarantees:
 //
-//  1. Engine parity: the pooled event engine is an implementation detail.
-//     The same seeded scenario must produce a byte-identical JSONL
-//     observability export under Engine::pooled and Engine::legacy_heap —
-//     same event order, same timestamps, same metric values.
+//  1. Replay: the same scenario run twice produces a byte-identical JSONL
+//     observability export — same event order, same timestamps, same
+//     metric values.  (sim_test checks the event queue itself against a
+//     reference model.)
 //  2. Allocation-free steady state: once rings and tables have grown to
 //     working size, moving cells through link → switch → link performs no
 //     heap allocation (checked via the alloc hook when it is linked in).
@@ -25,10 +25,8 @@ using core::CallServer;
 /// The standard two-router scenario with tracing on from bring-up: register
 /// a service, establish a call, push 20 frames, tear down.  Returns the
 /// full JSONL export (schema header, every trace event, every metric).
-std::string traced_run(bool legacy_engine) {
-  core::TestbedConfig cfg;
-  if (legacy_engine) cfg.legacy_event_engine();
-  auto tb = cfg.build_deferred();
+std::string traced_run() {
+  auto tb = core::TestbedConfig{}.build_deferred();
   tb->sim().obs().set_tracing(true);
   if (!tb->bring_up().ok()) return "bring-up-failed";
 
@@ -56,20 +54,14 @@ std::string traced_run(bool legacy_engine) {
   return obs::to_jsonl(tb->sim().obs().trace(), tb->sim().obs().metrics());
 }
 
-TEST(Determinism, PooledAndLegacyEnginesProduceIdenticalTraces) {
-  std::string pooled = traced_run(false);
-  std::string legacy = traced_run(true);
-  ASSERT_EQ(pooled.find("failed"), std::string::npos) << pooled;
-  ASSERT_GT(pooled.size(), 1000u) << "trace suspiciously small";
-  EXPECT_EQ(pooled, legacy);
-  // And the export is a valid artifact in its own right.
-  EXPECT_TRUE(obs::validate_jsonl(pooled).ok());
-}
-
 TEST(Determinism, PooledEngineRerunIsByteIdentical) {
-  std::string a = traced_run(false);
-  std::string b = traced_run(false);
+  std::string a = traced_run();
+  std::string b = traced_run();
+  ASSERT_EQ(a.find("failed"), std::string::npos) << a;
+  ASSERT_GT(a.size(), 1000u) << "trace suspiciously small";
   EXPECT_EQ(a, b);
+  // And the export is a valid artifact in its own right.
+  EXPECT_TRUE(obs::validate_jsonl(a).ok());
 }
 
 // ------------------------------------------------- allocation-free fast path

@@ -307,9 +307,8 @@ struct SwitchRig {
   int p_out;
 
   explicit SwitchRig(std::uint64_t out_rate_bps, std::size_t queue_cells,
-                     int inputs = 1,
-                     sim::Simulator::Engine engine = sim::Simulator::Engine::pooled)
-      : sim(engine), sw(sim, "uut", sim::microseconds(10), queue_cells),
+                     int inputs = 1)
+      : sw(sim, "uut", sim::microseconds(10), queue_cells),
         sink(sim) {
     for (int i = 0; i < inputs; ++i) {
       const int p = sw.add_port();
@@ -817,11 +816,11 @@ TEST(Abr, SourceConvergesToTheStampedExplicitRate) {
 
 // ===================================================================
 // Determinism: the full scheduling/policing pipeline replays
-// byte-identically across runs and event engines.
+// byte-identically across runs.
 // ===================================================================
 
-std::string scheduler_transcript(sim::Simulator::Engine engine) {
-  SwitchRig rig(3'000'000, 128, 3, engine);
+std::string scheduler_transcript() {
+  SwitchRig rig(3'000'000, 128, 3);
   rig.sw.set_discard_policy(atm::DiscardPolicy::epd_ppd);
   atm::Qos g;
   g.service_class = atm::ServiceClass::guaranteed;
@@ -854,17 +853,10 @@ std::string scheduler_transcript(sim::Simulator::Engine engine) {
   return t;
 }
 
-TEST(QosDeterminism, SchedulerReplayIsByteIdenticalAcrossEngines) {
-  const std::string pooled = scheduler_transcript(sim::Simulator::Engine::pooled);
-  const std::string legacy =
-      scheduler_transcript(sim::Simulator::Engine::legacy_heap);
-  ASSERT_GT(pooled.size(), 1000u) << "transcript suspiciously small";
-  EXPECT_EQ(pooled, legacy);
-}
-
 TEST(QosDeterminism, SchedulerReplayIsByteIdenticalAcrossRuns) {
-  EXPECT_EQ(scheduler_transcript(sim::Simulator::Engine::pooled),
-            scheduler_transcript(sim::Simulator::Engine::pooled));
+  const std::string first = scheduler_transcript();
+  ASSERT_GT(first.size(), 1000u) << "transcript suspiciously small";
+  EXPECT_EQ(first, scheduler_transcript());
 }
 
 }  // namespace

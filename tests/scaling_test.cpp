@@ -240,7 +240,7 @@ TEST(Scaling, TwoHundredConnectionsStayOpenBetweenTwoRouters) {
 
 TEST(Scaling, VciIndexMatchesMapUnderRandomizedChurn) {
   // Differential test: VciIndex must agree with std::map after any
-  // interleaving of insert/overwrite/erase/find, including its ordered
+  // interleaving of insert/overwrite/operator[]/erase/find, including its ordered
   // iteration — the property the deterministic audits depend on.
   util::Rng rng(0xC0FFEE);
   util::VciIndex<atm::Vci, int> idx;
@@ -248,10 +248,17 @@ TEST(Scaling, VciIndexMatchesMapUnderRandomizedChurn) {
   for (int step = 0; step < 20000; ++step) {
     const auto vci = static_cast<atm::Vci>(rng.below(4096));
     const int val = static_cast<int>(rng.below(1 << 20));
-    switch (rng.below(4)) {
+    switch (rng.below(5)) {
       case 0:  // emplace: first write wins
         ASSERT_EQ(idx.emplace(vci, val), ref.emplace(vci, val).second);
         break;
+      case 4: {  // operator[]: default-insert when absent, then write
+        int& got = idx[vci];
+        int& want = ref[vci];
+        ASSERT_EQ(got, want);
+        got = want = val;
+        break;
+      }
       case 1: {  // insert: insert-or-assign
         const bool fresh = ref.find(vci) == ref.end();
         ASSERT_EQ(idx.insert(vci, val), fresh);

@@ -1,13 +1,18 @@
 // sim_test.cpp — unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "util/rng.hpp"
 
 namespace xunet::sim {
 
@@ -151,38 +156,25 @@ TEST(Simulator, PeakPendingTracksHighWaterMark) {
   EXPECT_GE(sim.peak_pending(), 50u);
 }
 
-TEST(Simulator, BothEnginesAgreeOnDispatchOrder) {
-  auto run_with = [](Simulator::Engine e) {
-    Simulator sim(e);
-    std::vector<int> order;
-    sim.schedule(milliseconds(2), [&] { order.push_back(2); });
-    sim.schedule(milliseconds(1), [&] {
-      order.push_back(1);
-      sim.schedule(nanoseconds(-1), [&] { order.push_back(10); });
-      sim.schedule(milliseconds(5), [&] { order.push_back(4); });
-    });
-    sim.schedule(milliseconds(2), [&] { order.push_back(3); });
-    sim.schedule(seconds(20), [&] { order.push_back(5); });
-    sim.run();
-    return order;
-  };
-  EXPECT_EQ(run_with(Simulator::Engine::pooled),
-            run_with(Simulator::Engine::legacy_heap));
+TEST(Simulator, MixedDelaysDispatchInTimeThenScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(milliseconds(2), [&] { order.push_back(2); });
+  sim.schedule(milliseconds(1), [&] {
+    order.push_back(1);
+    sim.schedule(nanoseconds(-1), [&] { order.push_back(10); });
+    sim.schedule(milliseconds(5), [&] { order.push_back(4); });
+  });
+  sim.schedule(milliseconds(2), [&] { order.push_back(3); });
+  sim.schedule(seconds(20), [&] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 10, 2, 3, 4, 5}));
 }
 
-// Contract of ids, cancel() and pending(), run against both engines.
-class EngineContract : public ::testing::TestWithParam<Simulator::Engine> {};
+// ------------------------------------------------ contract of ids and cancel
 
-INSTANTIATE_TEST_SUITE_P(Engines, EngineContract,
-                         ::testing::Values(Simulator::Engine::pooled,
-                                           Simulator::Engine::legacy_heap),
-                         [](const auto& info) {
-                           return info.param == Simulator::Engine::pooled ? "pooled"
-                                                                          : "legacy_heap";
-                         });
-
-TEST_P(EngineContract, CancelAfterFireReturnsFalse) {
-  Simulator sim(GetParam());
+TEST(EngineContract, CancelAfterFireReturnsFalse) {
+  Simulator sim;
   int fired = 0;
   EventId id = sim.schedule(milliseconds(1), [&] { ++fired; });
   sim.run();
@@ -193,8 +185,8 @@ TEST_P(EngineContract, CancelAfterFireReturnsFalse) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
-TEST_P(EngineContract, CancelFromOwnCallbackReturnsFalse) {
-  Simulator sim(GetParam());
+TEST(EngineContract, CancelFromOwnCallbackReturnsFalse) {
+  Simulator sim;
   EventId id = 0;
   std::optional<bool> cancelled;
   id = sim.schedule(milliseconds(1), [&] { cancelled = sim.cancel(id); });
@@ -204,8 +196,8 @@ TEST_P(EngineContract, CancelFromOwnCallbackReturnsFalse) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST_P(EngineContract, StaleIdLeavesReusedRecordAlone) {
-  Simulator sim(GetParam());
+TEST(EngineContract, StaleIdLeavesReusedRecordAlone) {
+  Simulator sim;
   EventId fired_id = sim.schedule(milliseconds(1), [] {});
   sim.run();
   EventId cancelled_id = sim.schedule(milliseconds(1), [] {});
@@ -224,8 +216,8 @@ TEST_P(EngineContract, StaleIdLeavesReusedRecordAlone) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
-TEST_P(EngineContract, CancelDestroysTheCallableAtOnce) {
-  Simulator sim(GetParam());
+TEST(EngineContract, CancelDestroysTheCallableAtOnce) {
+  Simulator sim;
   auto token = std::make_shared<int>(0);
   EventId id = sim.schedule(seconds(30), [token] {});
   EXPECT_EQ(token.use_count(), 2);
@@ -235,8 +227,8 @@ TEST_P(EngineContract, CancelDestroysTheCallableAtOnce) {
   EXPECT_EQ(sim.run(), 1u);  // the dead entry is retired without running
 }
 
-TEST_P(EngineContract, IdZeroIsNeverIssuedAcrossTheGenerationWrap) {
-  Simulator sim(GetParam());
+TEST(EngineContract, IdZeroIsNeverIssuedAcrossTheGenerationWrap) {
+  Simulator sim;
   bool ran = false;
   EventId first = sim.schedule(milliseconds(1), [] {});
   ASSERT_EQ(static_cast<std::uint32_t>(first), 0u);  // pool record 0
@@ -256,8 +248,8 @@ TEST_P(EngineContract, IdZeroIsNeverIssuedAcrossTheGenerationWrap) {
   EXPECT_TRUE(ran);
 }
 
-TEST_P(EngineContract, CancelOfUnissuedIdsIsFalse) {
-  Simulator sim(GetParam());
+TEST(EngineContract, CancelOfUnissuedIdsIsFalse) {
+  Simulator sim;
   EXPECT_FALSE(sim.cancel(0));
   EventId id = sim.schedule(milliseconds(1), [] {});
   EXPECT_FALSE(sim.cancel(0));
@@ -265,6 +257,222 @@ TEST_P(EngineContract, CancelOfUnissuedIdsIsFalse) {
   EXPECT_FALSE(sim.cancel(id | 0xFFFF'FFFFu));  // beyond the pool
   EXPECT_EQ(sim.pending(), 1u);
   EXPECT_EQ(sim.run(), 1u);
+}
+
+// ------------------------------------ differential test against a reference
+
+/// Reference model of the event queue: a plain vector of (when, seq, id,
+/// live) entries, popped by minimum (when, seq).  It shares no code with
+/// Simulator.  Its ids are never reused, so a fired id is simply absent and
+/// a cancelled one is a dead entry that still counts as retired when popped.
+class ReferenceQueue {
+ public:
+  using Id = std::uint64_t;
+
+  [[nodiscard]] std::int64_t now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const {
+    return static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(), [](const Entry& e) { return e.live; }));
+  }
+
+  Id schedule(std::int64_t delay_ns, std::function<void()> fn) {
+    entries_.push_back(
+        {now_ + std::max<std::int64_t>(delay_ns, 0), seq_++, ++last_id_, true, std::move(fn)});
+    return last_id_;
+  }
+
+  bool cancel(Id id) {
+    for (Entry& e : entries_) {
+      if (e.id == id && e.live) {
+        e.live = false;
+        e.fn = nullptr;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::size_t run() { return drain(std::numeric_limits<std::int64_t>::max()); }
+  std::size_t run_until(std::int64_t deadline) {
+    const std::size_t n = drain(deadline);
+    now_ = std::max(now_, deadline);
+    return n;
+  }
+
+ private:
+  struct Entry {
+    std::int64_t when;
+    std::uint64_t seq;
+    Id id;
+    bool live;
+    std::function<void()> fn;
+  };
+
+  std::size_t drain(std::int64_t deadline) {
+    std::size_t n = 0;
+    while (!entries_.empty()) {
+      auto first = std::min_element(entries_.begin(), entries_.end(),
+                                    [](const Entry& a, const Entry& b) {
+                                      return a.when != b.when ? a.when < b.when
+                                                              : a.seq < b.seq;
+                                    });
+      if (first->when > deadline) break;
+      Entry e = std::move(*first);
+      entries_.erase(first);
+      ++n;
+      if (e.live) {
+        now_ = e.when;
+        e.fn();
+      }
+    }
+    return n;
+  }
+
+  std::vector<Entry> entries_;
+  std::int64_t now_ = 0;
+  std::uint64_t seq_ = 0;
+  Id last_id_ = 0;
+};
+
+/// Simulator behind the same interface as ReferenceQueue.
+class SimulatorQueue {
+ public:
+  using Id = EventId;
+
+  [[nodiscard]] std::int64_t now() const { return sim_.now().ns(); }
+  [[nodiscard]] std::size_t pending() const { return sim_.pending(); }
+  template <typename F>
+  Id schedule(std::int64_t delay_ns, F&& fn) {
+    return sim_.schedule(nanoseconds(delay_ns), std::forward<F>(fn));
+  }
+  bool cancel(Id id) { return sim_.cancel(id); }
+  std::size_t run() { return sim_.run(); }
+  std::size_t run_until(std::int64_t deadline) {
+    return sim_.run_until(SimTime(deadline));
+  }
+
+ private:
+  Simulator sim_;
+};
+
+/// A seeded random script of schedules, cancels and runs, also issued from
+/// inside callbacks.  Events are named by a tag (their schedule order), so
+/// both queues see the same script; the transcript records every dispatch
+/// and every observable result.
+template <typename Queue>
+class EngineScript {
+ public:
+  explicit EngineScript(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<std::string> play(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t op = rng_.below(1000);
+      if (op < 450) {
+        schedule_random();
+      } else if (op < 600) {
+        cancel_random();
+      } else if (op < 999) {
+        const std::int64_t deadline = q_.now() + run_delta();
+        note("run_until " + std::to_string(deadline) + " -> " +
+             std::to_string(q_.run_until(deadline)));
+      } else {
+        note("run -> " + std::to_string(q_.run()));
+      }
+      note("pending " + std::to_string(q_.pending()) + " now " +
+           std::to_string(q_.now()));
+    }
+    note("final run -> " + std::to_string(q_.run()) + " pending " +
+         std::to_string(q_.pending()));
+    return std::move(log_);
+  }
+
+ private:
+  static constexpr std::int64_t kSlotNs = 4096;
+  static constexpr std::int64_t kHorizonNs = 1024 * kSlotNs;  // ~4.19 ms
+  static constexpr std::size_t kMaxEvents = 60'000;
+
+  /// Delays covering every queue region: now, the current slot, the ring,
+  /// either side of the ring horizon, the far overflow, and negative.
+  std::int64_t random_delay() {
+    const auto pick = [this](std::int64_t lo, std::int64_t hi) {
+      return lo + static_cast<std::int64_t>(rng_.below(static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    switch (rng_.below(7)) {
+      case 0: return 0;
+      case 1: return pick(1, kSlotNs - 1);
+      case 2: return pick(kSlotNs, kHorizonNs - kSlotNs);
+      case 3: return pick(kHorizonNs - 2 * kSlotNs, kHorizonNs + 2 * kSlotNs);
+      case 4: return pick(1'000'000'000, 3'000'000'000);
+      case 5: return -pick(1, 100'000);
+      default: return pick(0, 200'000);
+    }
+  }
+
+  /// run_until steps: mostly shorter than the gaps to far events, so the
+  /// queue peeks past its deadline and later schedules land before the
+  /// window it advanced to.
+  std::int64_t run_delta() {
+    switch (rng_.below(5)) {
+      case 0: return 0;
+      case 1: return static_cast<std::int64_t>(rng_.below(kSlotNs));
+      case 2: return static_cast<std::int64_t>(rng_.below(kHorizonNs));
+      case 3: return static_cast<std::int64_t>(rng_.below(2 * kHorizonNs));
+      default: return static_cast<std::int64_t>(rng_.below(50'000));
+    }
+  }
+
+  void schedule_random() {
+    if (ids_.size() >= kMaxEvents) return;
+    const std::size_t tag = ids_.size();
+    const std::int64_t delay = random_delay();
+    ids_.push_back(q_.schedule(delay, [this, tag] { fire(tag); }));
+    note("schedule " + std::to_string(tag) + " +" + std::to_string(delay));
+  }
+
+  /// Cancel a pending, fired, cancelled or reused-record id, or id 0.
+  void cancel_random() {
+    if (ids_.empty() || rng_.below(16) == 0) {
+      note("cancel 0 -> " + std::to_string(q_.cancel(0)));
+      return;
+    }
+    const std::size_t recent = std::min<std::size_t>(ids_.size(), 64);
+    const std::size_t tag = rng_.chance(0.5)
+                                ? ids_.size() - 1 - rng_.below(recent)
+                                : rng_.below(ids_.size());
+    note("cancel " + std::to_string(tag) + " -> " +
+         std::to_string(q_.cancel(ids_[tag])));
+  }
+
+  void fire(std::size_t tag) {
+    note("fire " + std::to_string(tag) + " at " + std::to_string(q_.now()) +
+         " pending " + std::to_string(q_.pending()));
+    // Fewer than one child per event on average, so callbacks settle.
+    const std::uint64_t kids = rng_.below(10);
+    if (kids >= 5) schedule_random();
+    if (kids >= 8) schedule_random();
+    if (rng_.below(4) == 0) cancel_random();
+  }
+
+  void note(std::string line) { log_.push_back(std::move(line)); }
+
+  Queue q_;
+  util::Rng rng_;
+  std::vector<typename Queue::Id> ids_;  ///< by tag
+  std::vector<std::string> log_;
+};
+
+TEST(EngineReference, RandomScriptsMatchTheReferenceQueue) {
+  for (std::uint64_t seed : {1u, 7u, 11u, 1994u}) {
+    const auto want = EngineScript<ReferenceQueue>(seed).play(20'000);
+    const auto got = EngineScript<SimulatorQueue>(seed).play(20'000);
+    ASSERT_GT(want.size(), 40'000u);
+    const auto diff = std::mismatch(want.begin(), want.end(), got.begin(), got.end());
+    ASSERT_TRUE(diff.first == want.end() && diff.second == got.end())
+        << "seed " << seed << " diverges at transcript line "
+        << (diff.first - want.begin()) << ": reference '"
+        << (diff.first == want.end() ? "<end>" : *diff.first) << "' vs simulator '"
+        << (diff.second == got.end() ? "<end>" : *diff.second) << "'";
+  }
 }
 
 TEST(Timer, FiresOnce) {
