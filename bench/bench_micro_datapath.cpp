@@ -154,11 +154,11 @@ BENCHMARK(BM_SimulatorDispatch);
 
 // ---- cell-transport wall-clock benchmark → BENCH_datapath.json -------------
 //
-// One OC-12 link → switch → OC-12 link path with 25 µs arrival coalescing
-// (the receive-interrupt batching of the fast path).  Measures real
-// cells/sec of the reproduction itself, plus the fast path's two structural
-// claims: bounded event-queue depth (cell trains, not per-cell events) and
-// an allocation-free steady-state cell path.  A speedup is only meaningful
+// One OC-12 link → switch → OC-12 link path on the exact cell transport the
+// simulations use.  Measures real cells/sec of the reproduction itself,
+// plus the fast path's two structural claims: bounded event-queue depth
+// (one armed event per link and port, not one per cell in flight) and an
+// allocation-free steady-state cell path.  A speedup is only meaningful
 // against a baseline run on the same host, so none is computed here.
 
 struct CountingSink final : atm::CellSink {
@@ -178,8 +178,6 @@ void run_cell_transport_report() {
   CountingSink sink;
   atm::CellLink in(sim, atm::kOc12Bps, sim::microseconds(5), sw.input(p_in));
   atm::CellLink out(sim, atm::kOc12Bps, sim::microseconds(5), sink);
-  in.set_coalescing(sim::microseconds(25));
-  out.set_coalescing(sim::microseconds(25));
   sw.set_output(p_out, out);
   if (!sw.install_route(p_in, 100, p_out, 200, atm::Qos{}).ok()) {
     std::fprintf(stderr, "cell transport: route install failed\n");
@@ -232,7 +230,7 @@ void run_cell_transport_report() {
   rep.metric("alloc_hook_installed", util::alloc_hook_installed() ? 1 : 0);
   rep.info("workload", std::to_string(frames) + " frames x " +
                            std::to_string(cells_per_frame) +
-                           " cells, OC-12, 25us coalescing");
+                           " cells, OC-12, exact cell instants");
   rep.info("short_mode", xunet::bench::bench_short() ? "1" : "0");
   rep.write();
 }

@@ -36,13 +36,8 @@ void CellLink::send(const Cell& cell) {
   const sim::SimTime tx_done = start + cell_time();
   line_free_at_ = tx_done;
   ++cells_sent_;
-  sim::SimTime at = tx_done + propagation_;
-  if (quantum_.ns() > 0) {
-    const std::int64_t q = quantum_.ns();
-    at = sim::SimTime((at.ns() + q - 1) / q * q);
-  }
   Pending& p = pending_.push_slot();
-  p.at = at;
+  p.at = tx_done + propagation_;
   p.cell = cell;
   if (corrupt) {
     // One flipped payload bit; AAL5's CRC-32 catches it at reassembly.

@@ -36,13 +36,11 @@ inline constexpr std::uint64_t kOc12Bps = 622'000'000;
 /// another at the line rate) plus fixed propagation delay.  Optional random
 /// cell loss supports the AAL5 loss-detection experiments.
 ///
-/// In-flight cells live in a ring queue ordered by arrival instant; one
-/// armed simulator event delivers every due cell as a train, so the event
-/// queue holds O(1) entries per link instead of one per cell in flight.
-/// With a coalescing quantum set, arrival instants round up to quantum
-/// boundaries (modeling receive-interrupt batching) and trains genuinely
-/// carry many cells per event; the default quantum of zero preserves the
-/// exact per-cell arrival times of the original implementation.
+/// Every cell arrives at its own exact instant: serialization end plus
+/// propagation.  In-flight cells live in a ring queue ordered by arrival
+/// instant, and one armed simulator event delivers every cell due at that
+/// instant as a train, so the event queue holds one entry per link instead
+/// of one per cell in flight.
 class CellLink {
  public:
   /// `sink` must outlive the link.
@@ -54,12 +52,6 @@ class CellLink {
 
   /// Enqueue a cell for transmission.
   void send(const Cell& cell);
-
-  /// Batch arrivals: delivery instants round up to multiples of `quantum`
-  /// so cells serialized within one quantum share a single train event.
-  /// Zero (the default) delivers each cell at its exact arrival instant.
-  void set_coalescing(sim::SimDuration quantum) noexcept { quantum_ = quantum; }
-  [[nodiscard]] sim::SimDuration coalescing() const noexcept { return quantum_; }
 
   /// Drop each cell independently with probability `p` using `rng`
   /// (which must outlive the link).  p=0 disables loss.
@@ -106,7 +98,6 @@ class CellLink {
   sim::SimDuration propagation_;
   CellSink& sink_;
   sim::SimTime line_free_at_{};  ///< when the transmitter finishes its queue
-  sim::SimDuration quantum_{};   ///< arrival coalescing; 0 = exact instants
   util::RingQueue<Pending> pending_;  ///< in-flight cells, arrival order
   std::vector<Cell> train_;           ///< reused delivery scratch
   sim::EventId armed_ = 0;            ///< the one outstanding delivery event

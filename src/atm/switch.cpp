@@ -427,39 +427,28 @@ void AtmSwitch::enqueue_out(Port& out, VcQueue& vq, Cell cell) {
 }
 
 void AtmSwitch::drain(Port& out) {
-  // When the output link coalesces arrivals anyway, serve a whole quantum's
-  // worth of cells per wakeup; the link's serialization clock (line_free_at_)
-  // still spaces them exactly one cell-time apart on the wire.
-  const sim::SimDuration cell_time = out.out->cell_time();
-  std::int64_t burst = 1;
-  if (out.out->coalescing().ns() > 0 && cell_time.ns() > 0) {
-    burst = std::max<std::int64_t>(1, out.out->coalescing().ns() / cell_time.ns());
-  }
-  std::int64_t sent = 0;
-  while (sent < burst) {
-    VcQueue* vq = select(out);
-    if (vq == nullptr) break;
-    const std::size_t b = band_idx(vq->band);
-    out.vtime[b] = vq->finish;
-    out.out->send(vq->q.front());
-    vq->q.pop_front();
-    --out.band_depth[b];
-    --out.depth;
-    out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
-    if (vq->q.empty()) {
-      deactivate(out, *vq);
-    } else {
-      vq->finish += wfq_cost(*vq);
-    }
-    ++sent;
-  }
-  if (sent > 0) {
-    // Serve the next batch after the line has drained what we just sent.
-    // (LIFE-REF-CAPTURE here is grandfathered in tools/xunet_lint/baseline.txt.)
-    sim_.schedule(cell_time * sent, [this, &out] { drain(out); });
+  // One cell per wake-up; the next is served once the line has serialized
+  // this one, so the backlog waits here, in the scheduled per-VC queues.
+  VcQueue* vq = select(out);
+  if (vq == nullptr) {
+    out.draining = false;
     return;
   }
-  out.draining = false;
+  const std::size_t b = band_idx(vq->band);
+  out.vtime[b] = vq->finish;
+  out.out->send(vq->q.front());
+  vq->q.pop_front();
+  --out.band_depth[b];
+  --out.depth;
+  out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
+  if (vq->q.empty()) {
+    deactivate(out, *vq);
+  } else {
+    vq->finish += wfq_cost(*vq);
+  }
+  // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
+  // this switch; it lives exactly as long as the captured `this`.
+  sim_.schedule(out.out->cell_time(), [this, &out] { drain(out); });
 }
 
 std::uint64_t AtmSwitch::cells_dropped(int port, ServiceClass c) const {

@@ -27,11 +27,15 @@
 // ppd, overflow) in addition to its class counter, so observability can
 // tell a policer doing its job from a congested trunk.
 //
-// Fast path: the VC table is a compressed-trie index (util::VciIndex) keyed
-// by (input port, VCI), incoming trains are routed cell-by-cell but staged
-// per output port with a single armed fabric event (cells that crossed the
-// fabric by the same instant join the output queue together), and the
-// per-VC queues are allocation-free ring buffers created at route install.
+// Cell timing is exact.  A train from the input link (cells sharing one
+// arrival instant) is routed cell-by-cell and staged per output port, each
+// cell ready one fabric latency after its arrival; one armed fabric event
+// per output port moves every cell due at that instant into its per-VC
+// queue.  The output drain serves one cell per wake-up and wakes again one
+// output cell-time later, so cells leave on the link's own serialization
+// clock.  The VC table is a compressed-trie index (util::VciIndex) keyed by
+// (input port, VCI), and the per-VC queues are allocation-free ring buffers
+// created at route install.
 #pragma once
 
 #include <array>

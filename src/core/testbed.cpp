@@ -8,6 +8,17 @@ namespace xunet::core {
 
 using util::Errc;
 
+namespace {
+
+/// The §9 testbed's lines: every ATM link (trunks and endpoint links) is
+/// DS3, and every host hangs off its router by FDDI.  Per-switch VC setup
+/// cost is AtmNetwork's default.
+constexpr std::uint64_t kAtmRateBps = atm::kDs3Bps;
+constexpr sim::SimDuration kAtmPropagation = sim::microseconds(500);
+constexpr sim::SimDuration kIpPropagation = sim::microseconds(50);
+
+}  // namespace
+
 std::string LeakReport::describe() const {
   std::string s;
   auto add = [&s](const char* what, std::size_t n) {
@@ -26,7 +37,7 @@ std::string LeakReport::describe() const {
 
 Testbed::Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)) {
   sim_ = std::make_unique<sim::Simulator>();
-  net_ = std::make_unique<atm::AtmNetwork>(*sim_, cfg_.switch_setup);
+  net_ = std::make_unique<atm::AtmNetwork>(*sim_);
 }
 
 Testbed::~Testbed() = default;
@@ -36,7 +47,7 @@ atm::AtmSwitch& Testbed::add_switch(const std::string& name) {
 }
 
 void Testbed::connect_switches(atm::AtmSwitch& a, atm::AtmSwitch& b) {
-  net_->connect_switches(a, b, cfg_.atm_rate_bps, cfg_.atm_propagation);
+  net_->connect_switches(a, b, kAtmRateBps, kAtmPropagation);
 }
 
 Router& Testbed::add_router(const std::string& atm_name, ip::IpAddress ip,
@@ -45,8 +56,8 @@ Router& Testbed::add_router(const std::string& atm_name, ip::IpAddress ip,
   r->kernel = std::make_unique<kern::Kernel>(
       *sim_, atm_name, kern::Kernel::Role::router, ip,
       atm::AtmAddress{atm_name}, cfg_.kernel);
-  auto attached = r->kernel->attach_atm(*net_, sw, cfg_.atm_rate_bps,
-                                        cfg_.atm_propagation);
+  auto attached =
+      r->kernel->attach_atm(*net_, sw, kAtmRateBps, kAtmPropagation);
   assert(attached.ok());
   (void)attached;
   r->sw = &sw;
@@ -73,8 +84,8 @@ Host& Testbed::add_host(const std::string& name, ip::IpAddress ip,
       *sim_, name, kern::Kernel::Role::host, ip, atm::AtmAddress{name},
       cfg_.kernel);
   h->home = &via;
-  h->link = std::make_unique<ip::IpLink>(*sim_, cfg_.ip_rate_bps,
-                                         cfg_.ip_propagation, cfg_.ip_mtu);
+  h->link = std::make_unique<ip::IpLink>(*sim_, ip::kFddiBps, kIpPropagation,
+                                         ip::kFddiMtu);
   h->link->attach(h->kernel->ip_node(), via.kernel->ip_node());
   h->kernel->ip_node().set_default_route(*h->link);
   via.kernel->ip_node().add_route(ip, *h->link);

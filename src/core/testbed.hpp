@@ -26,7 +26,6 @@ class Testbed;
 ///   auto tb = TestbedConfig{}
 ///                 .routers(3)
 ///                 .hosts(4)
-///                 .trunk(atm::kOc12Bps)
 ///                 .pvc_mesh()
 ///                 .build();
 ///
@@ -38,12 +37,6 @@ class Testbed;
 struct TestbedConfig {
   kern::KernelConfig kernel;          ///< default kernel config (all machines)
   sig::SighostConfig sighost;         ///< default sighost config (all routers)
-  std::uint64_t atm_rate_bps = atm::kDs3Bps;
-  sim::SimDuration atm_propagation = sim::microseconds(500);
-  sim::SimDuration switch_setup = sim::milliseconds(2);
-  std::uint64_t ip_rate_bps = ip::kFddiBps;
-  std::size_t ip_mtu = ip::kFddiMtu;
-  sim::SimDuration ip_propagation = sim::microseconds(50);
   /// Provision classical IP-over-ATM between every router pair at bring-up
   /// (§1's Xunet IP service): cross-router IP connectivity for hosts.
   bool ip_over_atm = false;
@@ -67,9 +60,6 @@ struct TestbedConfig {
   // -- fluent builder -------------------------------------------------------
   TestbedConfig& routers(int n) { n_routers = n; return *this; }
   TestbedConfig& hosts(int n) { n_hosts = n; return *this; }
-  /// Line rate of every ATM link (trunks and endpoint links).
-  TestbedConfig& trunk(std::uint64_t bps) { atm_rate_bps = bps; return *this; }
-  TestbedConfig& propagation(sim::SimDuration d) { atm_propagation = d; return *this; }
   /// Provision classical IP-over-ATM between the routers at bring-up.
   TestbedConfig& ip_gateway() { ip_over_atm = true; return *this; }
   /// Bring the deployment up inside build(), provisioning the signaling

@@ -83,8 +83,6 @@ TEST(Determinism, SteadyStateCellPathIsAllocationFree) {
   CountingSink sink;
   atm::CellLink in(sim, atm::kOc12Bps, sim::microseconds(5), sw.input(p_in));
   atm::CellLink out(sim, atm::kOc12Bps, sim::microseconds(5), sink);
-  in.set_coalescing(sim::microseconds(25));
-  out.set_coalescing(sim::microseconds(25));
   sw.set_output(p_out, out);
   ASSERT_TRUE(sw.install_route(p_in, 100, p_out, 200, atm::Qos{}).ok());
 
