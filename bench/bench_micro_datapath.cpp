@@ -186,13 +186,22 @@ void run_cell_transport_report() {
 
   atm::Cell cell;
   cell.vci = 100;
-  auto batch = [&](int nframes) {
-    for (int f = 0; f < nframes; ++f) {
-      sim.schedule(sim::microseconds(100 * static_cast<std::int64_t>(f)),
-                   [&] {
-                     for (int i = 0; i < cells_per_frame; ++i) in.send(cell);
-                   });
+  // Each frame start schedules the next one 100 us later, so the event
+  // queue holds one pending frame start and the transport's own events.
+  struct FrameStart {
+    sim::Simulator* sim;
+    atm::CellLink* in;
+    const atm::Cell* cell;
+    int cells;
+    int left;
+    void operator()() {
+      for (int i = 0; i < cells; ++i) in->send(*cell);
+      if (--left > 0) sim->schedule(sim::microseconds(100), *this);
     }
+  };
+  auto batch = [&](int nframes) {
+    sim.schedule(sim::SimDuration{},
+                 FrameStart{&sim, &in, &cell, cells_per_frame, nframes});
     sim.run();
   };
 

@@ -6,15 +6,15 @@ namespace xunet::atm {
 
 AbrSource::AbrSource(sim::Simulator& sim, CellLink& uplink, Vci vci,
                      AbrParams params)
-    : sim_(sim),
-      uplink_(uplink),
+    : uplink_(uplink),
       vci_(vci),
       params_(params),
       acr_bps_(params.icr_bps > 0 ? params.icr_bps
                                   : std::max(params.pcr_bps / 16, floor_bps())),
       // Start due-for-RM so the very first transmission is a forward RM
       // cell: the loop gets feedback before the source has built momentum.
-      since_rm_(params.nrm) {}
+      since_rm_(params.nrm),
+      pacer_(sim) {}
 
 std::uint64_t AbrSource::floor_bps() const noexcept {
   return std::max(params_.mcr_bps, kAbrFloorBps);
@@ -24,17 +24,15 @@ void AbrSource::submit(const Cell& cell) {
   Cell& slot = q_.push_slot();
   slot = cell;
   slot.vci = vci_;
-  if (!armed_) arm();
+  if (!pacer_.armed()) arm();
 }
 
 void AbrSource::arm() {
-  armed_ = true;
   const std::int64_t gap = cell_interval_ns(acr_bps_);
-  sim_.schedule(sim::nanoseconds(gap), [this] { pump(); });
+  pacer_.arm(sim::nanoseconds(gap), [this] { pump(); });
 }
 
 void AbrSource::pump() {
-  armed_ = false;
   if (q_.empty()) return;
   if (since_rm_ >= params_.nrm) {
     // In-rate forward RM cell: it takes this transmission slot, so RM

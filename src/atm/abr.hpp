@@ -22,6 +22,7 @@
 #include "atm/gcra.hpp"
 #include "atm/link.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "util/ring.hpp"
 
 namespace xunet::atm {
@@ -49,6 +50,8 @@ inline constexpr std::uint64_t kAbrFloorBps = 64'000;
 class AbrSource {
  public:
   AbrSource(sim::Simulator& sim, CellLink& uplink, Vci vci, AbrParams params);
+  AbrSource(const AbrSource&) = delete;  ///< the pacer's event holds `this`
+  AbrSource& operator=(const AbrSource&) = delete;
 
   /// Queue one data cell for rate-paced transmission.
   void submit(const Cell& cell);
@@ -67,14 +70,13 @@ class AbrSource {
   void arm();
   [[nodiscard]] std::uint64_t floor_bps() const noexcept;
 
-  sim::Simulator& sim_;
   CellLink& uplink_;
   Vci vci_;
   AbrParams params_;
   std::uint64_t acr_bps_;
   util::RingQueue<Cell> q_;
   std::uint32_t since_rm_;  ///< cells sent since the last forward RM
-  bool armed_ = false;
+  sim::Timer pacer_;  ///< next transmission slot; dies with the source
   std::uint64_t cells_sent_ = 0;
   std::uint64_t rm_sent_ = 0;
   std::uint64_t rm_received_ = 0;

@@ -11,12 +11,9 @@ CellLink::CellLink(sim::Simulator& sim, std::uint64_t rate_bps,
       rate_bps_(rate_bps),
       cell_time_ns_(static_cast<std::int64_t>(kCellBits * 1'000'000'000ull / rate_bps)),
       propagation_(propagation),
-      sink_(sink) {
+      sink_(sink),
+      delivery_(sim) {
   assert(rate_bps_ > 0);
-}
-
-CellLink::~CellLink() {
-  if (armed_ != 0) sim_.cancel(armed_);
 }
 
 void CellLink::send(const Cell& cell) {
@@ -47,13 +44,12 @@ void CellLink::send(const Cell& cell) {
   }
   // Arrival instants are non-decreasing (line_free_at_ and now() are both
   // monotone), so the front of the queue is always the next due cell.
-  if (armed_ == 0) {
-    armed_ = sim_.schedule_at(pending_.front().at, [this] { deliver(); });
+  if (!delivery_.armed()) {
+    delivery_.arm(pending_.front().at - sim_.now(), [this] { deliver(); });
   }
 }
 
 void CellLink::deliver() {
-  armed_ = 0;
   train_.clear();
   const sim::SimTime now = sim_.now();
   while (!pending_.empty() && pending_.front().at <= now) {
@@ -61,8 +57,8 @@ void CellLink::deliver() {
     pending_.pop_front();
   }
   if (!train_.empty()) sink_.cells_arrival(train_.data(), train_.size());
-  if (armed_ == 0 && !pending_.empty()) {
-    armed_ = sim_.schedule_at(pending_.front().at, [this] { deliver(); });
+  if (!pending_.empty() && !delivery_.armed()) {
+    delivery_.arm(pending_.front().at - now, [this] { deliver(); });
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "atm/cell.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
 
@@ -38,15 +39,14 @@ inline constexpr std::uint64_t kOc12Bps = 622'000'000;
 ///
 /// Every cell arrives at its own exact instant: serialization end plus
 /// propagation.  In-flight cells live in a ring queue ordered by arrival
-/// instant, and one armed simulator event delivers every cell due at that
-/// instant as a train, so the event queue holds one entry per link instead
-/// of one per cell in flight.
+/// instant, and one delivery Timer delivers every cell due at that instant
+/// as a train, so the event queue holds one entry per link instead of one
+/// per cell in flight.
 class CellLink {
  public:
   /// `sink` must outlive the link.
   CellLink(sim::Simulator& sim, std::uint64_t rate_bps,
            sim::SimDuration propagation, CellSink& sink);
-  ~CellLink();
   CellLink(const CellLink&) = delete;
   CellLink& operator=(const CellLink&) = delete;
 
@@ -100,7 +100,7 @@ class CellLink {
   sim::SimTime line_free_at_{};  ///< when the transmitter finishes its queue
   util::RingQueue<Pending> pending_;  ///< in-flight cells, arrival order
   std::vector<Cell> train_;           ///< reused delivery scratch
-  sim::EventId armed_ = 0;            ///< the one outstanding delivery event
+  sim::Timer delivery_;               ///< the one outstanding delivery event
   bool down_ = false;
   double loss_prob_ = 0.0;
   double corrupt_prob_ = 0.0;

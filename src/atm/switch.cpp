@@ -56,13 +56,11 @@ int AtmSwitch::add_port() {
 }
 
 CellSink& AtmSwitch::input(int port) {
-  assert(port >= 0 && port < port_count());
-  return *ports_[static_cast<std::size_t>(port)];
+  return port_at(port);
 }
 
 void AtmSwitch::set_output(int port, CellLink& out) {
-  assert(port >= 0 && port < port_count());
-  ports_[static_cast<std::size_t>(port)]->out = &out;
+  port_at(port).out = &out;
 }
 
 util::Result<void> AtmSwitch::install_route(int in_port, Vci in_vci,
@@ -76,7 +74,7 @@ util::Result<void> AtmSwitch::install_route(int in_port, Vci in_vci,
   std::uint64_t key = route_key(in_port, in_vci);
   if (table_.contains(key)) return Errc::duplicate;
 
-  Port& out = *ports_[static_cast<std::size_t>(out_port)];
+  Port& out = port_at(out_port);
   std::uint64_t reserve = 0;
   if (qos.needs_reservation()) {
     if (out.out == nullptr) return Errc::no_route;
@@ -116,7 +114,7 @@ util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
   std::uint64_t key = route_key(in_port, in_vci);
   Route* r = table_.find(key);
   if (r == nullptr) return Errc::not_found;
-  Port& out = *ports_[static_cast<std::size_t>(r->out_port)];
+  Port& out = port_at(r->out_port);
   assert(out.reserved_bps >= r->reserved_bps);
   out.reserved_bps -= r->reserved_bps;
   if (r->svc_class == ServiceClass::abr) {
@@ -143,19 +141,16 @@ util::Result<void> AtmSwitch::remove_route(int in_port, Vci in_vci) {
 }
 
 std::uint64_t AtmSwitch::reserved_bps(int port) const {
-  assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]->reserved_bps;
+  return port_at(port).reserved_bps;
 }
 
 std::uint64_t AtmSwitch::output_rate_bps(int port) const {
-  assert(port >= 0 && port < port_count());
-  const Port& p = *ports_[static_cast<std::size_t>(port)];
+  const Port& p = port_at(port);
   return p.out != nullptr ? p.out->rate_bps() : 0;
 }
 
 void AtmSwitch::debug_overreserve(int port, std::uint64_t bps) {
-  assert(port >= 0 && port < port_count());
-  ports_[static_cast<std::size_t>(port)]->reserved_bps += bps;
+  port_at(port).reserved_bps += bps;
 }
 
 std::vector<AtmSwitch::RouteInfo> AtmSwitch::route_table() const {
@@ -178,7 +173,7 @@ void AtmSwitch::handle_cells(int in_port, const Cell* cells, std::size_t n) {
   const sim::SimTime now = sim_.now();
   const sim::SimTime ready = now + per_cell_latency_;
   const bool tracing = XOBS_TRACING(obs_);
-  Port& ingress = *ports_[static_cast<std::size_t>(in_port)];
+  Port& ingress = port_at(in_port);
   std::uint64_t switched = 0;
   std::uint64_t unroutable = 0;
   // Cells of one train overwhelmingly share a VCI, so memoize the last
@@ -196,7 +191,7 @@ void AtmSwitch::handle_cells(int in_port, const Cell* cells, std::size_t n) {
       ++unroutable;
       continue;
     }
-    Port& out = *ports_[static_cast<std::size_t>(route->out_port)];
+    Port& out = port_at(route->out_port);
     if (out.out == nullptr) {
       ++unroutable;
       continue;
@@ -223,11 +218,9 @@ void AtmSwitch::handle_cells(int in_port, const Cell* cells, std::size_t n) {
     s.ready = ready;
     s.cell = cell;
     s.cell.vci = route->out_vci;
-    if (out.fabric_armed == 0) {
-      // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
-      // this switch; it lives exactly as long as the captured `this`.
-      out.fabric_armed = sim_.schedule_at(
-          out.fabric.front().ready, [this, &out] { fabric_deliver(out); });
+    if (!out.fabric_timer.armed()) {
+      out.fabric_timer.arm(out.fabric.front().ready - now,
+                           [this, i = out.index] { fabric_deliver(port_at(i)); });
     }
   }
   if (switched > 0) {
@@ -241,7 +234,6 @@ void AtmSwitch::handle_cells(int in_port, const Cell* cells, std::size_t n) {
 }
 
 void AtmSwitch::fabric_deliver(Port& out) {
-  out.fabric_armed = 0;
   const sim::SimTime now = sim_.now();
   // Trains share a VCI, so memoize the per-VC queue lookup too.  A route
   // removed while its cells were mid-fabric leaves them with no queue;
@@ -263,11 +255,9 @@ void AtmSwitch::fabric_deliver(Port& out) {
     }
     out.fabric.pop_front();
   }
-  if (out.fabric_armed == 0 && !out.fabric.empty()) {
-    // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
-    // this switch; it lives exactly as long as the captured `this`.
-    out.fabric_armed = sim_.schedule_at(out.fabric.front().ready,
-                                        [this, &out] { fabric_deliver(out); });
+  if (!out.fabric.empty() && !out.fabric_timer.armed()) {
+    out.fabric_timer.arm(out.fabric.front().ready - now,
+                         [this, i = out.index] { fabric_deliver(port_at(i)); });
   }
 }
 
@@ -420,20 +410,14 @@ void AtmSwitch::enqueue_out(Port& out, VcQueue& vq, Cell cell) {
   ++out.depth;
   out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
   if (!vq.active) activate(out, vq);
-  if (!out.draining) {
-    out.draining = true;
-    drain(out);
-  }
+  if (!out.drain_timer.armed()) drain(out);
 }
 
 void AtmSwitch::drain(Port& out) {
   // One cell per wake-up; the next is served once the line has serialized
   // this one, so the backlog waits here, in the scheduled per-VC queues.
   VcQueue* vq = select(out);
-  if (vq == nullptr) {
-    out.draining = false;
-    return;
-  }
+  if (vq == nullptr) return;
   const std::size_t b = band_idx(vq->band);
   out.vtime[b] = vq->finish;
   out.out->send(vq->q.front());
@@ -446,30 +430,24 @@ void AtmSwitch::drain(Port& out) {
   } else {
     vq->finish += wfq_cost(*vq);
   }
-  // xunet-lint: allow(LIFE-REF-CAPTURE) -- &out is a heap Port owned by
-  // this switch; it lives exactly as long as the captured `this`.
-  sim_.schedule(out.out->cell_time(), [this, &out] { drain(out); });
+  out.drain_timer.arm(out.out->cell_time(),
+                      [this, i = out.index] { drain(port_at(i)); });
 }
 
 std::uint64_t AtmSwitch::cells_dropped(int port, ServiceClass c) const {
-  assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]->drops[band_idx(c)];
+  return port_at(port).drops[band_idx(c)];
 }
 
 std::uint64_t AtmSwitch::cells_discarded(int port, DiscardCause cause) const {
-  assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]
-      ->discards[static_cast<std::size_t>(cause)];
+  return port_at(port).discards[static_cast<std::size_t>(cause)];
 }
 
 std::size_t AtmSwitch::queue_depth(int port) const {
-  assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]->depth;
+  return port_at(port).depth;
 }
 
 std::size_t AtmSwitch::abr_route_count(int port) const {
-  assert(port >= 0 && port < port_count());
-  return ports_[static_cast<std::size_t>(port)]->abr_routes;
+  return port_at(port).abr_routes;
 }
 
 }  // namespace xunet::atm

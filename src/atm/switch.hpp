@@ -29,16 +29,19 @@
 //
 // Cell timing is exact.  A train from the input link (cells sharing one
 // arrival instant) is routed cell-by-cell and staged per output port, each
-// cell ready one fabric latency after its arrival; one armed fabric event
-// per output port moves every cell due at that instant into its per-VC
-// queue.  The output drain serves one cell per wake-up and wakes again one
-// output cell-time later, so cells leave on the link's own serialization
-// clock.  The VC table is a compressed-trie index (util::VciIndex) keyed by
-// (input port, VCI), and the per-VC queues are allocation-free ring buffers
+// cell ready one fabric latency after its arrival; one fabric Timer per
+// output port moves every cell due at that instant into its per-VC queue.
+// The output drain serves one cell per wake-up and its drain Timer wakes it
+// again one output cell-time later, so cells leave on the link's own
+// serialization clock.  Both Timers die with the port, so a switch
+// destroyed with cells mid-fabric or queued leaves no event behind.  The
+// VC table is a compressed-trie index (util::VciIndex) keyed by (input
+// port, VCI), and the per-VC queues are allocation-free ring buffers
 // created at route install.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,6 +52,7 @@
 #include "atm/link.hpp"
 #include "atm/qos.hpp"
 #include "obs/obs.hpp"
+#include "sim/timer.hpp"
 #include "util/result.hpp"
 #include "util/ring.hpp"
 #include "util/vci_index.hpp"
@@ -93,6 +97,8 @@ class AtmSwitch {
   AtmSwitch(sim::Simulator& sim, std::string name,
             sim::SimDuration per_cell_latency = sim::microseconds(10),
             std::size_t port_queue_cells = 2048);
+  AtmSwitch(const AtmSwitch&) = delete;  ///< ports and their Timers hold `this`
+  AtmSwitch& operator=(const AtmSwitch&) = delete;
 
   /// Add a port; returns its index.
   int add_port();
@@ -187,7 +193,8 @@ class AtmSwitch {
   };
 
   struct Port : CellSink {
-    Port(AtmSwitch& sw, int index) : owner(sw), index(index) {}
+    Port(AtmSwitch& sw, int index)
+        : owner(sw), index(index), fabric_timer(sw.sim_), drain_timer(sw.sim_) {}
     void cell_arrival(const Cell& cell) override {
       owner.handle_cells(index, &cell, 1);
     }
@@ -200,7 +207,9 @@ class AtmSwitch {
     std::uint64_t reserved_bps = 0;
     /// Cells in flight across the fabric to this output port, ready-order.
     util::RingQueue<Staged> fabric;
-    sim::EventId fabric_armed = 0;
+    sim::Timer fabric_timer;  ///< delivers the fabric's front cell
+    /// Next drain wake-up; armed while the output line is serializing.
+    sim::Timer drain_timer;
     /// Per-VC egress queues, keyed by outgoing VCI.  unique_ptr so VcQueue
     /// addresses stay stable across map rebalancing (active lists hold
     /// pointers).
@@ -217,7 +226,6 @@ class AtmSwitch {
     std::array<std::uint64_t, kDiscardCauseCount> discards{};
     std::array<obs::Gauge*, kServiceClassCount> depth_gauges{};
     std::size_t abr_routes = 0;
-    bool draining = false;
   };
 
   struct Route {
@@ -238,6 +246,10 @@ class AtmSwitch {
   }
   static constexpr std::uint64_t kWfqScale = 1u << 16;
 
+  [[nodiscard]] Port& port_at(int i) const {
+    assert(i >= 0 && i < port_count());
+    return *ports_[static_cast<std::size_t>(i)];
+  }
   void handle_cells(int in_port, const Cell* cells, std::size_t n);
   void fabric_deliver(Port& out);
   void enqueue_out(Port& out, VcQueue& vq, Cell cell);

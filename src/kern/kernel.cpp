@@ -24,7 +24,8 @@ Kernel::Kernel(sim::Simulator& sim, std::string name, Role role,
       role_(role),
       atm_addr_(std::move(atm_addr)),
       cfg_(cfg),
-      anand_(cfg.anand_buffers) {
+      anand_(cfg.anand_buffers),
+      pending_up_drain_(sim) {
   obs_ = &sim_.obs();
   obs::MetricsRegistry& mx = obs_->metrics();
   m_x_tx_ = &mx.counter("kern." + name_ + ".xunet.tx");
@@ -115,6 +116,13 @@ Pid Kernel::spawn(std::string proc_name) {
 }
 
 bool Kernel::alive(Pid pid) const { return proc(pid) != nullptr; }
+
+template <typename Fn, typename... Args>
+void Kernel::upcall(Pid owner, sim::SimDuration delay, Fn fn, Args... args) {
+  sim_.schedule(delay, [this, owner, fn = std::move(fn), ... args = std::move(args)] {
+    if (alive(owner)) fn(args...);
+  });
+}
 
 std::size_t Kernel::live_process_count() const {
   std::size_t n = 0;
@@ -306,10 +314,7 @@ util::Result<int> Kernel::tcp_listen(Pid pid, std::uint16_t port,
     tsocks_.emplace(h, std::move(ts));
     tcp_by_conn_.emplace(conn, h);
     attach_tcp_handlers(h, conn);
-    sim_.schedule(cfg_.context_switch, [this, pid, on_accept, afd = *afd] {
-      // Never upcall into a process that died while the wakeup was queued.
-      if (alive(pid)) on_accept(afd);
-    });
+    upcall(pid, cfg_.context_switch, on_accept, *afd);
   });
   if (!r) {
     free_fd(*p, *fd);
@@ -343,15 +348,11 @@ util::Result<int> Kernel::tcp_connect(Pid pid, ip::IpAddress dst,
           tcp_by_conn_.erase(it->second.conn);
           tsocks_.erase(it);
           free_fd(*owner, fd);
-          sim_.schedule(cfg_.context_switch, [this, pid, on_done, e = r.error()] {
-            if (alive(pid)) on_done(e);
-          });
+          upcall(pid, cfg_.context_switch, on_done, r.error());
           return;
         }
         it->second.connecting = false;
-        sim_.schedule(cfg_.context_switch, [this, pid, on_done, fd] {
-          if (alive(pid)) on_done(fd);
-        });
+        upcall(pid, cfg_.context_switch, on_done, fd);
       });
   if (!conn) {
     free_fd(*p, *fd);
@@ -378,11 +379,7 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
     if (ts.app_receive) {
-      sim_.schedule(cfg_.context_switch, [this, owner = ts.owner,
-                                          fn = ts.app_receive,
-                                          buf = util::to_buffer(data)] {
-        if (alive(owner)) fn(buf);
-      });
+      upcall(ts.owner, cfg_.context_switch, ts.app_receive, util::to_buffer(data));
     } else {
       ts.pending_data.insert(ts.pending_data.end(), data.begin(), data.end());
     }
@@ -392,10 +389,7 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
     if (ts.app_close) {
-      sim_.schedule(cfg_.context_switch,
-                    [this, owner = ts.owner, fn = ts.app_close, reason] {
-                      if (alive(owner)) fn(reason);
-                    });
+      upcall(ts.owner, cfg_.context_switch, ts.app_close, reason);
     } else {
       ts.pending_close = reason;
     }
@@ -453,11 +447,7 @@ util::Result<void> Kernel::tcp_on_receive(Pid pid, int fd, DataFn fn) {
   ts.app_receive = std::move(fn);
   if (!ts.pending_data.empty()) {
     // Deliver whatever arrived before the handler existed.
-    sim_.schedule(cfg_.context_switch,
-                  [this, owner = ts.owner, fn = ts.app_receive,
-                   buf = std::move(ts.pending_data)] {
-                    if (alive(owner)) fn(buf);
-                  });
+    upcall(ts.owner, cfg_.context_switch, ts.app_receive, std::move(ts.pending_data));
     ts.pending_data.clear();
   }
   return {};
@@ -471,11 +461,7 @@ util::Result<void> Kernel::tcp_on_close(Pid pid, int fd, CloseFn fn) {
   TcpSock& ts = it->second;
   ts.app_close = std::move(fn);
   if (ts.pending_close.has_value()) {
-    sim_.schedule(cfg_.context_switch,
-                  [this, owner = ts.owner, fn = ts.app_close,
-                   reason = *ts.pending_close] {
-                    if (alive(owner)) fn(reason);
-                  });
+    upcall(ts.owner, cfg_.context_switch, ts.app_close, *ts.pending_close);
     ts.pending_close.reset();
   }
   return {};
@@ -593,10 +579,7 @@ util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
   // arrival order.
   sim::SimDuration delay = kDataSyscall;
   while (!xs.rx_queue.empty()) {
-    sim_.schedule(delay, [this, owner = xs.owner, fn = xs.on_receive,
-                          buf = std::move(xs.rx_queue.front())] {
-      if (alive(owner)) fn(buf);
-    });
+    upcall(xs.owner, delay, xs.on_receive, std::move(xs.rx_queue.front()));
     xs.rx_queue.pop_front();
   }
   return {};
@@ -658,10 +641,7 @@ void Kernel::pf_xunet_input(atm::Vci vci, const MbufChain& chain) {
     obs_->complete(kDataSyscall, "kern", "xunet.recv", name_,
                    std::move(ids));
   }
-  sim_.schedule(kDataSyscall, [this, owner = xs.owner, fn = xs.on_receive,
-                               buf = chain.linearize()] {
-    if (alive(owner)) fn(buf);
-  });
+  upcall(xs.owner, kDataSyscall, xs.on_receive, chain.linearize());
 }
 
 void Kernel::mark_vci_disconnected(atm::Vci vci) {
@@ -679,10 +659,7 @@ void Kernel::mark_vci_disconnected(atm::Vci vci) {
     XunetSock& xs = xsocks_.at(h);
     xs.state = SocketState::disconnected;
     if (xs.on_disconnect) {
-      sim_.schedule(cfg_.context_switch,
-                    [this, owner = xs.owner, fn = xs.on_disconnect] {
-                      if (alive(owner)) fn();
-                    });
+      upcall(xs.owner, cfg_.context_switch, xs.on_disconnect);
     }
   }
   // soisdisconnected() detaches the socket from its address: the VCI can be
@@ -730,9 +707,8 @@ void Kernel::close_xunet(XunetSock& xs) {
 void Kernel::post_durable(const AnandUpMsg& msg) {
   if (pending_up_.empty() && anand_.has_space() && anand_.post(msg)) return;
   pending_up_.push_back(msg);
-  if (!pending_up_drain_armed_) {
-    pending_up_drain_armed_ = true;
-    sim_.schedule(cfg_.context_switch, [this] { drain_pending_up(); });
+  if (!pending_up_drain_.armed()) {
+    pending_up_drain_.arm(cfg_.context_switch, [this] { drain_pending_up(); });
   }
 }
 
@@ -741,9 +717,8 @@ void Kernel::drain_pending_up() {
          anand_.post(pending_up_.front())) {
     pending_up_.pop_front();
   }
-  pending_up_drain_armed_ = !pending_up_.empty();
-  if (pending_up_drain_armed_) {
-    sim_.schedule(cfg_.context_switch, [this] { drain_pending_up(); });
+  if (!pending_up_.empty()) {
+    pending_up_drain_.arm(cfg_.context_switch, [this] { drain_pending_up(); });
   }
 }
 
@@ -785,9 +760,7 @@ util::Result<void> Kernel::anand_set_readable(Pid pid, int fd,
   if (!d) return d.error();
   anand_.set_readable_handler([this, pid, fn = std::move(fn)] {
     // select() wakeup: the blocked reader is scheduled back in.
-    sim_.schedule(cfg_.context_switch, [this, pid, fn] {
-      if (alive(pid)) fn();
-    });
+    upcall(pid, cfg_.context_switch, fn);
   });
   return {};
 }

@@ -29,6 +29,7 @@
 #include "kern/orc.hpp"
 #include "kern/ipatm.hpp"
 #include "kern/proto_atm.hpp"
+#include "sim/timer.hpp"
 #include "tcpsim/tcp.hpp"
 
 namespace xunet::kern {
@@ -228,6 +229,10 @@ class Kernel {
   /// Wire kernel-owned receive/close handlers for a fresh connection.
   void attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn);
   void close_xunet(XunetSock& xs);
+  /// Kernel→process crossing: run `fn(args...)` `delay` from now, unless
+  /// `owner` died while the wake-up was queued.
+  template <typename Fn, typename... Args>
+  void upcall(Pid owner, sim::SimDuration delay, Fn fn, Args... args);
   /// Post an up-indication that must not be lost to a full anand buffer:
   /// queue it and retry until the sighost drains enough space.
   void post_durable(const AnandUpMsg& msg);
@@ -263,7 +268,7 @@ class Kernel {
   /// sighost would hold the call forever — so these are retried until
   /// posted (§5.3: the kernel always knows, and must be heard).
   std::deque<AnandUpMsg> pending_up_;
-  bool pending_up_drain_armed_ = false;
+  sim::Timer pending_up_drain_;  ///< next retry while pending_up_ is non-empty
   std::uint64_t x_dropped_ = 0;
   std::uint32_t sighost_incarnations_ = 0;
 

@@ -18,6 +18,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 #include "util/result.hpp"
 
 namespace xunet::obs {
@@ -33,7 +34,7 @@ inline constexpr std::string_view kJsonlSchema = "xunet.obs.v1";
                                    const MetricsRegistry& metrics);
 
 /// Escape a string for embedding in JSON (quotes not included).
-[[nodiscard]] std::string json_escape(std::string_view s);
+using util::json_escape;
 
 /// Deterministic JSON number rendering: exact integers without a fractional
 /// part, everything else as fixed "%.6f" (no locale, no exponent).

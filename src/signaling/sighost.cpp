@@ -38,6 +38,7 @@ Sighost::Sighost(kern::Kernel& router, atm::AtmNetwork& net,
                  SighostConfig cfg)
     : k_(router), net_(net), cfg_(cfg), cookies_(kCookieSeed),
       rng_(kRetransmitSeed),
+      recovery_grace_(router.simulator()),
       obs_(&router.simulator().obs()),
       // Shard 0 keeps the router's bare name so single-shard topologies
       // (the default) produce byte-identical metric names and traces.
@@ -136,7 +137,7 @@ util::Result<void> Sighost::add_peer(const atm::AtmAddress& peer,
     }
     on_peer_msg(name, *m);
   });
-  Peer p;
+  Peer p(k_.simulator());
   p.addr = peer;
   p.index = static_cast<std::uint32_t>(peers_.size() + 1);
   p.send_fd = *send_fd;
@@ -200,11 +201,8 @@ void Sighost::transmit_peer(Peer& p, const Msg& m) {
 
 void Sighost::queue_retransmit(const std::string& peer, const Msg& m) {
   Peer& p = peers_.at(peer);
-  PendingTx tx;
-  tx.msg = m;
-  tx.timer = std::make_unique<sim::Timer>(k_.simulator());
-  tx.timer->arm(backoff(0),
-                [this, peer, seq = m.seq] { retransmit(peer, seq); });
+  PendingTx tx{m, 0, sim::Timer(k_.simulator())};
+  tx.timer.arm(backoff(0), [this, peer, seq = m.seq] { retransmit(peer, seq); });
   p.pending.emplace(m.seq, std::move(tx));
 }
 
@@ -226,8 +224,7 @@ void Sighost::retransmit(const std::string& peer, std::uint32_t seq) {
   XOBS_FLIGHT(obs_, "sighost", "peer.retx", track_,
               peer + " seq=" + std::to_string(seq));
   transmit_peer(pit->second, tx.msg);
-  tx.timer->arm(backoff(tx.attempts),
-                [this, peer, seq] { retransmit(peer, seq); });
+  tx.timer.arm(backoff(tx.attempts), [this, peer, seq] { retransmit(peer, seq); });
 }
 
 bool Sighost::note_received(Peer& p, std::uint32_t seq) {
@@ -323,7 +320,7 @@ void Sighost::end_trace(Call& c) {
 
 Sighost::CallId Sighost::alloc_call() {
   if (free_calls_.empty()) {
-    calls_.emplace_back();
+    calls_.emplace_back(k_.simulator());
     return static_cast<CallId>(calls_.size() - 1);
   }
   const CallId id = free_calls_.back();
@@ -337,7 +334,7 @@ void Sighost::release_call(CallId id) {
   if (auto it = by_key_.find(c.key); it != by_key_.end() && it->second == id) {
     by_key_.erase(it);
   }
-  c = Call{};  // the Timer destructor cancels any pending expiry
+  c = Call(k_.simulator());  // the Timer move cancels any pending expiry
   free_calls_.push_back(id);
   record_lists();  // the call has left every list
 }
@@ -564,8 +561,7 @@ void Sighost::handle_connect_req(int fd, const Msg& m) {
     c.span = obs_->begin("sighost", "call.setup", track_, std::move(ids));
   }
   fsm("fsm.connect_req", c.display, -1, fd);
-  c.timer = std::make_unique<sim::Timer>(k_.simulator());
-  c.timer->arm(cfg_.request_timeout, [this, cid] {
+  c.timer.arm(cfg_.request_timeout, [this, cid] {
     // The peer never answered (partition, dead sighost, lost PVC): fail the
     // request back to the client and withdraw it from the peer.
     ++stats_.request_timeouts;
@@ -796,8 +792,7 @@ void Sighost::handle_peer_setup(const std::string& origin, const Msg& m) {
         c.cookie = cookie;
         // Watchdog: if neither PEER_ESTABLISHED nor PEER_SETUP_FAILED ever
         // arrives (lost to a partition), the record must not live forever.
-        c.timer = std::make_unique<sim::Timer>(k_.simulator());
-        c.timer->arm(cfg_.request_timeout, [this, cid] {
+        c.timer.arm(cfg_.request_timeout, [this, cid] {
           Call& c = calls_[cid];
           ++stats_.request_timeouts;
           fail_to_server(c, Errc::timed_out);
@@ -1071,7 +1066,7 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
   c.confirmed = true;
   c.endpoint_ip = origin;
   wait_bind_.erase(vci);
-  c.timer.reset();  // cancels the pending expiry
+  c.timer.cancel();
   record_lists();
   if (c.notify_origin_on_confirm) {
     c.notify_origin_on_confirm = false;
@@ -1083,7 +1078,7 @@ void Sighost::confirm_endpoint(atm::Vci vci, Cookie cookie,
 
 void Sighost::load_wait_for_bind(atm::Vci vci, CallId id) {
   // Re-arming replaces the request watchdog the call carried until now.
-  calls_[id].timer->arm(cfg_.wait_for_bind_timeout, [this, vci] {
+  calls_[id].timer.arm(cfg_.wait_for_bind_timeout, [this, vci] {
     ++stats_.bind_timeouts;
     teardown_vci(vci, /*notify_peer=*/true);
   });
@@ -1281,9 +1276,7 @@ util::Result<void> Sighost::recover() {
   for (const auto& [name, p] : peers_) names.push_back(name);
   for (const std::string& name : names) send_resync(name);
   if (rebuilt > 0) {
-    recovery_grace_ = std::make_unique<sim::Timer>(k_.simulator());
-    recovery_grace_->arm(cfg_.resync_grace,
-                         [this] { expire_unclaimed_recoveries(); });
+    recovery_grace_.arm(cfg_.resync_grace, [this] { expire_unclaimed_recoveries(); });
   }
   record_lists();
   return {};
@@ -1304,10 +1297,7 @@ void Sighost::send_resync(const std::string& peer) {
   m.req_id = p.resync_nonce;
   transmit_peer(p, m);
   if (++p.resync_attempts > kRetransmitMaxAttempts) return;
-  if (!p.resync_timer)
-    p.resync_timer = std::make_unique<sim::Timer>(k_.simulator());
-  p.resync_timer->arm(backoff(p.resync_attempts - 1),
-                      [this, peer] { send_resync(peer); });
+  p.resync_timer.arm(backoff(p.resync_attempts - 1), [this, peer] { send_resync(peer); });
 }
 
 void Sighost::handle_peer_resync(const std::string& origin, const Msg& m) {
@@ -1357,7 +1347,7 @@ void Sighost::handle_peer_resync_ack(const std::string& origin, const Msg& m) {
   if (pit == peers_.end()) return;
   Peer& p = pit->second;
   if (m.req_id != p.resync_nonce) return;  // stale nonce
-  p.resync_timer.reset();
+  p.resync_timer.cancel();
   p.resync_attempts = 0;
   p.resync_nonce = 0;
 }

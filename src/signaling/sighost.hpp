@@ -246,6 +246,7 @@ class Sighost {
   /// (callee) until it fails or is torn down.  The paper's per-call lists
   /// hold only CallIds into the slab of these records.
   struct Call {
+    explicit Call(sim::Simulator& sim) : timer(sim) {}
     CallKey key = 0;
     /// "origin#req_id", built once; empty while a recovered call waits for
     /// a peer's PEER_RESYNC_INFO to name it.
@@ -263,12 +264,12 @@ class Sighost {
     /// The request watchdog while the call is in outgoing_requests or
     /// incoming_requests, then the wait_for_bind timer.  It dies with the
     /// record, so it never fires for a released call.
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
     // VCI_mapping.
     atm::Vci vci = atm::kInvalidVci;
     atm::Vci remote_vci = atm::kInvalidVci;  ///< the far endpoint's VCI
-    atm::VcId vc_id = 0;        ///< network handle; only at the originator
     ip::IpAddress endpoint_ip;  ///< socket's machine (0 = unknown/router)
+    atm::VcId vc_id = 0;        ///< network handle; only at the originator
     std::string qos;            ///< granted QoS
     bool confirmed = false;     ///< bind/connect indication authenticated
     /// Callee side: report PEER_BOUND to the originator on bind confirm.
@@ -285,9 +286,10 @@ class Sighost {
   struct PendingTx {  ///< one unacked sequenced message awaiting retransmit
     Msg msg;
     int attempts = 0;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;
   };
   struct Peer {
+    explicit Peer(sim::Simulator& sim) : resync_timer(sim) {}
     atm::AtmAddress addr;
     std::uint32_t index = 0;  ///< origin index in CallKeys (from 1)
     int send_fd = -1;
@@ -304,7 +306,7 @@ class Sighost {
     // Resync client state (we restarted and are reconciling with them).
     std::uint32_t resync_nonce = 0;
     int resync_attempts = 0;
-    std::unique_ptr<sim::Timer> resync_timer;
+    sim::Timer resync_timer;
     // Resync server side: last nonce honored, so a retried PEER_RESYNC is
     // re-acked without resetting the channel a second time.
     std::uint32_t last_resync_seen = 0;
@@ -422,7 +424,7 @@ class Sighost {
   TraceFn trace_;
   WireFaultFn wire_fault_;
   std::uint32_t next_resync_nonce_ = 1;
-  std::unique_ptr<sim::Timer> recovery_grace_;  ///< armed once by recover()
+  sim::Timer recovery_grace_;  ///< armed once by recover()
 
   // Every call lives in one slab record; a released slot goes on the free
   // list.  by_key_ finds a call by its identity (a recovered call joins it
@@ -447,9 +449,11 @@ class Sighost {
   ReqId next_req_ = 1;
   sim::SimTime busy_until_{};  ///< end of the queued maintenance-log work
   /// Liveness token for raw simulator events that capture `this` (deferred
-  /// maintenance-log work, fault-injected wire delays).  Timers cancel
-  /// themselves on destruction; these events cannot, so they hold a weak
-  /// reference and no-op once the sighost is gone (crashed).
+  /// maintenance-log work, fault-injected wire delays).  Every other
+  /// deferred call is a sim::Timer held by value in the Call, PendingTx or
+  /// Peer record or in this object, and cancels itself on destruction.
+  /// These events can be many at once with no record to own them, so they
+  /// hold a weak reference and no-op once the sighost is gone (crashed).
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   SighostStats stats_;
 

@@ -147,10 +147,8 @@ void Simulator::dispatch_ref(const Ref& r) {
 }
 
 bool Simulator::cancel(EventId id) {
-  const auto idx = static_cast<std::uint32_t>(id);
-  if (idx >= chunks_.size() << kChunkShift) return false;
-  EventRec& rc = rec(idx);
-  if (rc.gen != id >> 32 || rc.thunk == nullptr) return false;
+  if (!is_pending(id)) return false;
+  EventRec& rc = rec(static_cast<std::uint32_t>(id));
   auto thunk = std::exchange(rc.thunk, nullptr);
   retire(rc);
   --pending_;

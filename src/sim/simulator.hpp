@@ -76,6 +76,16 @@ class Simulator {
   /// record now holds a newer event (which is left alone).  O(1).
   bool cancel(EventId id);
 
+  /// True while the event behind `id` can still fire: false for 0, for an
+  /// id whose event already fired, is running or was cancelled, and for a
+  /// stale id whose record now holds a newer event.  O(1), one pool read.
+  [[nodiscard]] bool is_pending(EventId id) const noexcept {
+    const auto idx = static_cast<std::uint32_t>(id);
+    if (idx >= chunks_.size() << kChunkShift) return false;
+    const EventRec& rc = rec(idx);
+    return rc.gen == id >> 32 && rc.thunk != nullptr;
+  }
+
   /// Run events until the queue empties.  Returns the number of queue
   /// entries retired: events run plus cancelled entries dropped.
   std::size_t run();
@@ -152,7 +162,7 @@ class Simulator {
     }
   }
 
-  [[nodiscard]] EventRec& rec(std::uint32_t idx) noexcept {
+  [[nodiscard]] EventRec& rec(std::uint32_t idx) const noexcept {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 

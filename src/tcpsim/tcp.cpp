@@ -51,12 +51,12 @@ TcpLayer::~TcpLayer() = default;
 
 TcpLayer::Conn* TcpLayer::find(ConnId id) {
   auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : it->second.get();
+  return it == conns_.end() ? nullptr : &it->second;
 }
 
 const TcpLayer::Conn* TcpLayer::find(ConnId id) const {
   auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : it->second.get();
+  return it == conns_.end() ? nullptr : &it->second;
 }
 
 std::uint16_t TcpLayer::alloc_ephemeral_port() {
@@ -88,9 +88,8 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   std::uint16_t sport = alloc_ephemeral_port();
   if (sport == 0) return Errc::no_resources;
 
-  auto conn = std::make_unique<Conn>(node_.simulator());
-  Conn& c = *conn;
-  c.id = next_id_++;
+  const ConnId id = next_id_++;
+  Conn& c = conns_.try_emplace(id, id, node_.simulator()).first->second;
   c.tuple = TupleKey{dst, dst_port, sport};
   c.state = State::syn_sent;
   std::uint32_t iss = next_iss_;
@@ -99,8 +98,6 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   c.snd_nxt = iss + 1;
   c.on_connect = std::move(on_done);
   add_tuple(c);
-  ConnId id = c.id;
-  conns_.emplace(id, std::move(conn));
 
   emit(c, Flags{.syn = true}, {}, iss);
   arm_rto(c);
@@ -198,7 +195,7 @@ State TcpLayer::state(ConnId id) const {
 std::size_t TcpLayer::count_in_state(State s) const {
   std::size_t n = 0;
   for (const auto& [id, c] : conns_) {
-    if (c->state == s) ++n;
+    if (c.state == s) ++n;
   }
   return n;
 }
@@ -301,9 +298,8 @@ void TcpLayer::handle_listen(std::uint16_t port, const Segment& s,
     send_rst(src, s.src_port, port, 0, s.seq + 1);
     return;
   }
-  auto conn = std::make_unique<Conn>(node_.simulator());
-  Conn& c = *conn;
-  c.id = next_id_++;
+  const ConnId id = next_id_++;
+  Conn& c = conns_.try_emplace(id, id, node_.simulator()).first->second;
   c.tuple = TupleKey{src, s.src_port, port};
   c.state = State::syn_rcvd;
   c.rcv_nxt = s.seq + 1;
@@ -312,8 +308,6 @@ void TcpLayer::handle_listen(std::uint16_t port, const Segment& s,
   c.snd_una = iss;
   c.snd_nxt = iss + 1;
   add_tuple(c);
-  ConnId id = c.id;
-  conns_.emplace(id, std::move(conn));
   emit(c, Flags{.syn = true, .ack = true}, {}, iss);
   arm_rto(c);
 }
@@ -337,7 +331,7 @@ void TcpLayer::enter_time_wait(Conn& c) {
 void TcpLayer::release(ConnId id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
-  Conn& c = *it->second;
+  Conn& c = it->second;
   if (by_tuple_.erase(c.tuple) != 0) {
     auto use = port_uses_.find(c.tuple.local_port);
     if (--use->second == 0) port_uses_.erase(use);

@@ -13,7 +13,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_map>
 
 #include "ip/node.hpp"
@@ -115,8 +114,8 @@ class TcpLayer {
   };
 
   struct Conn {
-    Conn(sim::Simulator& sim) : rto_timer(sim), wait_timer(sim) {}
-    ConnId id = 0;
+    Conn(ConnId id, sim::Simulator& sim) : id(id), rto_timer(sim), wait_timer(sim) {}
+    ConnId id;
     TupleKey tuple{};
     State state = State::closed;
     // Send side.
@@ -167,7 +166,8 @@ class TcpLayer {
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
   std::map<TupleKey, ConnId> by_tuple_;
   std::unordered_map<std::uint16_t, std::uint32_t> port_uses_;  ///< by_tuple_ entries per local port
-  std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
+  /// Node-based: a Conn& stays valid until its own erase.
+  std::unordered_map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;
   std::uint16_t next_ephemeral_ = 10'000;
   std::uint32_t next_iss_ = 1000;  ///< deterministic initial seq generator

@@ -1,6 +1,6 @@
 // Fixture: annotation grammar.  Expected: the first rand() is suppressed
 // (trailing allow with reason); the second is suppressed (standalone allow,
-// reason, comment gap); the third stays a live DET-BANNED because its allow
+// reason continued on the next comment line); the third stays a live DET-BANNED because its allow
 // has no reason (which is itself a LINT-ANNOT finding); the last comment is
 // a malformed annotation (another LINT-ANNOT).
 #include <cstdlib>

@@ -152,6 +152,9 @@ TEST(LintAnnot, TrailingAndStandaloneSuppressReasonlessDoesNot) {
   EXPECT_TRUE(banned[0]->suppressed);  // trailing form, line 9
   EXPECT_EQ(banned[0]->reason, "fixture: trailing form");
   EXPECT_TRUE(banned[1]->suppressed);  // standalone form across a comment gap
+  EXPECT_EQ(banned[1]->reason,  // the reason runs on over its comment lines
+            "fixture: standalone form, and the annotation may continue in "
+            "prose before the statement it guards.");
   EXPECT_FALSE(banned[2]->suppressed) << "reason-less allow must not suppress";
 
   auto annot = with_rule(r, "LINT-ANNOT");

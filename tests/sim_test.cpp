@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "atm/abr.hpp"
+#include "atm/switch.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "util/rng.hpp"
@@ -257,6 +259,34 @@ TEST(EngineContract, CancelOfUnissuedIdsIsFalse) {
   EXPECT_FALSE(sim.cancel(id | 0xFFFF'FFFFu));  // beyond the pool
   EXPECT_EQ(sim.pending(), 1u);
   EXPECT_EQ(sim.run(), 1u);
+}
+
+TEST(EngineContract, IsPendingOnlyWhileTheEventCanFire) {
+  Simulator sim;
+  EXPECT_FALSE(sim.is_pending(0));
+  std::optional<bool> inside;
+  EventId fired = 0;
+  fired = sim.schedule(milliseconds(1), [&] { inside = sim.is_pending(fired); });
+  EXPECT_TRUE(sim.is_pending(fired));
+  sim.run();
+  ASSERT_TRUE(inside.has_value());
+  EXPECT_FALSE(*inside);  // already false inside its own callback
+  EXPECT_FALSE(sim.is_pending(fired));
+  EventId cancelled = sim.schedule(milliseconds(1), [] {});
+  ASSERT_TRUE(sim.cancel(cancelled));
+  EXPECT_FALSE(sim.is_pending(cancelled));
+  sim.run();  // retires the dead entry, freeing its record
+  // The same record now holds a newer event; both older ids are stale.
+  EventId live = sim.schedule(milliseconds(1), [] {});
+  ASSERT_EQ(static_cast<std::uint32_t>(live), static_cast<std::uint32_t>(fired));
+  ASSERT_EQ(static_cast<std::uint32_t>(live), static_cast<std::uint32_t>(cancelled));
+  EXPECT_TRUE(sim.is_pending(live));
+  EXPECT_FALSE(sim.is_pending(fired));
+  EXPECT_FALSE(sim.is_pending(cancelled));
+  EXPECT_FALSE(sim.is_pending(live + 1));            // a record never used
+  EXPECT_FALSE(sim.is_pending(live | 0xFFFF'FFFFu));  // beyond the pool
+  EXPECT_FALSE(sim.is_pending(0));
+  sim.run();
 }
 
 // ------------------------------------ differential test against a reference
@@ -528,6 +558,114 @@ TEST(Timer, CanRearmFromOwnCallback) {
   t.arm(milliseconds(1), tick);
   sim.run();
   EXPECT_EQ(fired, 5);
+}
+
+TEST(Timer, MovedTimerFiresOnceAndTheSourceIsUnarmed) {
+  Simulator sim;
+  int fired = 0;
+  Timer a(sim);
+  a.arm(milliseconds(5), [&] { ++fired; });
+  Timer b(std::move(a));
+  EXPECT_FALSE(a.armed());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.armed());
+  Timer c(sim);
+  c = std::move(b);
+  EXPECT_FALSE(b.armed());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(c.armed());
+  a.cancel();  // a moved-from timer no longer owns the expiry
+  b.cancel();
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(c.armed());
+}
+
+TEST(Timer, MoveAssignOntoArmedTimerCancelsItsExpiry) {
+  Simulator sim;
+  std::vector<int> hits;
+  Timer target(sim);
+  target.arm(milliseconds(5), [&] { hits.push_back(1); });
+  Timer source(sim);
+  source.arm(milliseconds(10), [&] { hits.push_back(2); });
+  target = std::move(source);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(hits, (std::vector<int>{2}));
+}
+
+TEST(Timer, TimersInAReallocatingVectorStillFireAndCancel) {
+  Simulator sim;
+  std::vector<int> hits;
+  std::vector<Timer> timers;
+  for (int i = 0; i < 64; ++i) {  // grows the vector through several moves
+    timers.emplace_back(sim);
+    timers.back().arm(milliseconds(1 + i), [&hits, i] { hits.push_back(i); });
+  }
+  for (std::size_t i = 0; i < timers.size(); i += 2) timers[i].cancel();
+  for (std::size_t i = 0; i < timers.size(); ++i) EXPECT_EQ(timers[i].armed(), i % 2 == 1);
+  sim.run();
+  std::vector<int> odd;
+  for (int i = 1; i < 64; i += 2) odd.push_back(i);
+  EXPECT_EQ(hits, odd);
+  for (const Timer& t : timers) EXPECT_FALSE(t.armed());
+}
+
+// A component that owns its pending event through a Timer leaves nothing
+// behind when it is destroyed: the simulator holds no event for it and
+// running on calls nothing into the freed object.
+struct CountingSink final : atm::CellSink {
+  std::size_t n = 0;
+  void cell_arrival(const atm::Cell&) override { ++n; }
+};
+
+TEST(TimerOwners, DestroyedAbrSourceWithABacklogLeavesNoEvent) {
+  Simulator sim;
+  CountingSink sink;
+  atm::CellLink up(sim, atm::kOc12Bps, microseconds(1), sink);
+  atm::AbrParams params;
+  params.pcr_bps = 10'000'000;
+  auto src = std::make_unique<atm::AbrSource>(sim, up, 100, params);
+  atm::Cell cell;
+  for (int i = 0; i < 8; ++i) src->submit(cell);
+  // Halfway to the second transmission slot: one cell (the forward RM) has
+  // reached the sink and the pacer is armed for the next.
+  const std::int64_t gap = atm::cell_interval_ns(src->acr_bps());
+  sim.run_for(nanoseconds(gap + gap / 2));
+  ASSERT_EQ(sink.n, 1u);
+  ASSERT_GT(src->backlog(), 0u);
+  ASSERT_EQ(sim.pending(), 1u);
+  src.reset();
+  ASSERT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(sink.n, 1u);
+}
+
+TEST(TimerOwners, DestroyedSwitchWithCellsMidFabricLeavesNoEvent) {
+  Simulator sim;
+  CountingSink sink;
+  auto sw = std::make_unique<atm::AtmSwitch>(sim, "sw", microseconds(10));
+  const int p_in = sw->add_port();
+  const int p_out = sw->add_port();
+  // A DS3 output behind an OC-12 input: cells queue at the output port.
+  auto in = std::make_unique<atm::CellLink>(sim, atm::kOc12Bps, microseconds(5),
+                                            sw->input(p_in));
+  auto out = std::make_unique<atm::CellLink>(sim, atm::kDs3Bps, microseconds(5), sink);
+  sw->set_output(p_out, *out);
+  ASSERT_TRUE(sw->install_route(p_in, 100, p_out, 200, atm::Qos{}).ok());
+  atm::Cell cell;
+  cell.vci = 100;
+  for (int i = 0; i < 20; ++i) in->send(cell);
+  // Every cell has reached the switch; some are still crossing the fabric,
+  // some wait in the output queue behind the armed drain.
+  sim.run_until(SimTime(20'000));
+  ASSERT_GT(sw->queue_depth(p_out), 0u);
+  ASSERT_EQ(sw->cells_switched(), 20u);
+  in.reset();
+  sw.reset();
+  out.reset();
+  ASSERT_EQ(sim.pending(), 0u);
+  sim.run();
+  EXPECT_EQ(sink.n, 0u);
 }
 
 }  // namespace

@@ -246,10 +246,23 @@ void lex_source(Unit& u, const std::string& text) {
   }
   collect_unordered(u);
 
-  // A standalone annotation covers the next CODE line: skip any blank or
-  // comment-only lines between it and the statement it guards (annotations
-  // often share a multi-line comment with their prose).
   for (Allow& a : u.allows) {
+    // A `//` annotation's reason runs on over the non-empty comment-only
+    // lines right below it.
+    const std::string& own = u.lines[a.line - 1];
+    if (!a.reason.empty() && own.find("//") < own.find("xunet-lint")) {
+      for (int ln = a.line + 1; ln <= static_cast<int>(u.lines.size()); ++ln) {
+        const std::string& raw = u.lines[ln - 1];
+        std::size_t b = raw.find_first_not_of(" \t");
+        if (b == std::string::npos || raw.compare(b, 2, "//") != 0) break;
+        std::string body = trim(raw.substr(b + 2));
+        if (body.empty() || body.find("xunet-lint") != std::string::npos) break;
+        a.reason += ' ' + body;
+      }
+    }
+    // A standalone annotation covers the next CODE line: skip any blank or
+    // comment-only lines between it and the statement it guards
+    // (annotations often share a multi-line comment with their prose).
     if (a.target_line == a.line) continue;  // trailing: covers its own line
     while (a.target_line <= static_cast<int>(u.lines.size())) {
       const std::string& raw = u.lines[a.target_line - 1];
