@@ -15,7 +15,10 @@
 // 10^2 -> 10^4 live VCs on a six-router chain with two shards.
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,6 +65,16 @@ double percentile_us(const std::vector<std::uint32_t>& v, std::size_t first,
   std::nth_element(seg.begin(), seg.begin() + static_cast<std::ptrdiff_t>(k),
                    seg.end());
   return static_cast<double>(seg[k]);
+}
+
+/// Peak resident set of this process in MB (VmHWM), 0 where /proc is absent.
+double peak_rss_mb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  }
+  return 0.0;
 }
 
 void run() {
@@ -200,10 +213,12 @@ void run() {
          util::fmt(p99_hi, 0)});
   t.print();
 
-  std::printf("  live VCs held: %llu (failed %llu)  wall-cost ratio hi/lo: %s\n",
+  const double rss_mb = peak_rss_mb();
+  std::printf("  live VCs held: %llu (failed %llu)  wall-cost ratio hi/lo: %s"
+              "  peak RSS: %s MB\n",
               static_cast<unsigned long long>(prog->ok),
               static_cast<unsigned long long>(prog->failed),
-              util::fmt(ratio, 2).c_str());
+              util::fmt(ratio, 2).c_str(), util::fmt(rss_mb, 1).c_str());
   compare("setup cost vs live-VC population", "(not in paper; extension)",
           "flat per-call cost across two decades (trie index + shards)");
 
@@ -218,6 +233,7 @@ void run() {
   rep.metric("setup_us_p99_lo", p99_lo);
   rep.metric("setup_us_p50_hi", p50_hi);
   rep.metric("setup_us_p99_hi", p99_hi);
+  rep.metric("peak_rss_MB", rss_mb);
   rep.info("mode", bench_short() ? "short" : "full");
   rep.info("topology", std::to_string(sh.routers) + "-router chain, " +
                            std::to_string(sh.shards) + " shards/router, " +

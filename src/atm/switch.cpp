@@ -410,7 +410,16 @@ void AtmSwitch::enqueue_out(Port& out, VcQueue& vq, Cell cell) {
   ++out.depth;
   out.depth_gauges[b]->set(static_cast<std::int64_t>(out.band_depth[b]));
   if (!vq.active) activate(out, vq);
-  if (!out.drain_timer.armed()) drain(out);
+  if (out.drain_timer.armed()) return;
+  if (sim_.passed(out.line_free)) {
+    drain(out);
+  } else {
+    wake_drain_at_line_free(out);
+  }
+}
+
+void AtmSwitch::wake_drain_at_line_free(Port& out) {
+  out.drain_timer.arm(out.line_free, [this, i = out.index] { drain(port_at(i)); });
 }
 
 void AtmSwitch::drain(Port& out) {
@@ -430,8 +439,8 @@ void AtmSwitch::drain(Port& out) {
   } else {
     vq->finish += wfq_cost(*vq);
   }
-  out.drain_timer.arm(out.out->cell_time(),
-                      [this, i = out.index] { drain(port_at(i)); });
+  out.line_free = sim_.reserve(out.out->cell_time());
+  if (out.depth > 0) wake_drain_at_line_free(out);
 }
 
 std::uint64_t AtmSwitch::cells_dropped(int port, ServiceClass c) const {

@@ -31,10 +31,14 @@
 // arrival instant) is routed cell-by-cell and staged per output port, each
 // cell ready one fabric latency after its arrival; one fabric Timer per
 // output port moves every cell due at that instant into its per-VC queue.
-// The output drain serves one cell per wake-up and its drain Timer wakes it
-// again one output cell-time later, so cells leave on the link's own
-// serialization clock.  Both Timers die with the port, so a switch
-// destroyed with cells mid-fabric or queued leaves no event behind.  The
+// The output drain serves one cell per wake-up, so cells leave on the
+// link's own serialization clock.  Each send reserves the dispatch key of
+// the instant the line frees up (Simulator::reserve), and the drain Timer
+// is armed under that key only while a cell waits, so the drain never
+// wakes up to an empty queue: a cell that arrives before the key has
+// passed arms it then, and one that arrives later is sent at once.  Both
+// Timers die with the port, so a switch destroyed with cells mid-fabric or
+// queued leaves no event behind.  The
 // VC table is a compressed-trie index (util::VciIndex) keyed by (input
 // port, VCI), and the per-VC queues are allocation-free ring buffers
 // created at route install.
@@ -208,7 +212,10 @@ class AtmSwitch {
     /// Cells in flight across the fabric to this output port, ready-order.
     util::RingQueue<Staged> fabric;
     sim::Timer fabric_timer;  ///< delivers the fabric's front cell
-    /// Next drain wake-up; armed while the output line is serializing.
+    /// Dispatch key of the instant the output line finishes serializing
+    /// the last cell sent; reserved at each send.
+    sim::DispatchKey line_free;
+    /// Next drain wake-up, under line_free; armed only while a cell waits.
     sim::Timer drain_timer;
     /// Per-VC egress queues, keyed by outgoing VCI.  unique_ptr so VcQueue
     /// addresses stay stable across map rebalancing (active lists hold
@@ -260,6 +267,7 @@ class AtmSwitch {
   [[nodiscard]] VcQueue* select(Port& out);
   void stamp_rm(Port& out, Cell& cell) const;
   void drain(Port& out);
+  void wake_drain_at_line_free(Port& out);
   [[nodiscard]] std::size_t epd_threshold() const noexcept {
     return port_queue_cells_ - port_queue_cells_ / 4;
   }

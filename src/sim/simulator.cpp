@@ -23,6 +23,7 @@ Simulator::~Simulator() {
   // Destroy pending callables without running them.
   auto scrap = [this](const Ref& r) {
     EventRec& rc = rec(r.rec);
+    if (rc.gen != r.gen) return;  // dead entry
     if (auto thunk = std::exchange(rc.thunk, nullptr)) thunk(rc, /*run=*/false);
   };
   for (const Ref& r : active_) scrap(r);
@@ -44,8 +45,7 @@ std::uint32_t Simulator::alloc_rec() {
   return idx;
 }
 
-EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
-  Ref r{when.ns(), scheduled_++, idx};
+EventId Simulator::insert_ref(const Ref& r) {
   std::int64_t slot = r.when >> kGranShift;
   // slot < active_slot_ happens when the window was advanced past `now`
   // (run_until peeked at a far event); the active heap orders by (when, seq)
@@ -63,7 +63,7 @@ EventId Simulator::insert_ref(SimTime when, std::uint32_t idx) {
     std::push_heap(overflow_.begin(), overflow_.end(), RefLater{});
   }
   peak_pending_ = std::max(peak_pending_, ++pending_);
-  return (EventId{rec(idx).gen} << 32) | idx;
+  return (EventId{r.gen} << 32) | r.rec;
 }
 
 void Simulator::activate_slot(std::int64_t abs_slot) {
@@ -136,23 +136,25 @@ bool Simulator::refill() {
 
 void Simulator::dispatch_ref(const Ref& r) {
   EventRec& rc = rec(r.rec);
-  // A null thunk means the event was cancelled: just reclaim the record.
-  if (auto thunk = std::exchange(rc.thunk, nullptr)) {
-    retire(rc);  // before running, so cancel() from the callback is false
-    --pending_;
-    now_ = SimTime(r.when);
-    thunk(rc, /*run=*/true);
-  }
-  free_list_.push_back(r.rec);
+  // Cancelled: the record went back to the pool at cancel().
+  if (rc.gen != r.gen) return;
+  // A null thunk makes cancel() from the callback false.
+  auto thunk = std::exchange(rc.thunk, nullptr);
+  --pending_;
+  now_ = SimTime(r.when);
+  through_ = {now_, r.seq};
+  thunk(rc, /*run=*/true);
+  release(r.rec);
 }
 
 bool Simulator::cancel(EventId id) {
   if (!is_pending(id)) return false;
-  EventRec& rc = rec(static_cast<std::uint32_t>(id));
+  const auto idx = static_cast<std::uint32_t>(id);
+  EventRec& rc = rec(idx);
   auto thunk = std::exchange(rc.thunk, nullptr);
-  retire(rc);
   --pending_;
-  thunk(rc, /*run=*/false);  // the queue entry is dropped when it surfaces
+  thunk(rc, /*run=*/false);
+  release(idx);  // after the callable is gone: its destructor may schedule
   return true;
 }
 
@@ -165,6 +167,7 @@ std::size_t Simulator::run() {
     dispatch_ref(r);
     ++n;
   }
+  through_ = {now_, scheduled_};
   return n;
 }
 
@@ -177,7 +180,10 @@ std::size_t Simulator::run_until(SimTime deadline) {
     dispatch_ref(r);
     ++n;
   }
-  if (now_ < deadline) now_ = deadline;
+  if (now_ <= deadline) {
+    now_ = deadline;
+    through_ = {now_, scheduled_};
+  }
   return n;
 }
 

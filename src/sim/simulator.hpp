@@ -6,18 +6,26 @@
 //
 // Every event lives in a chunked pool of small-buffer-optimized records
 // (captures up to 48 bytes never touch the allocator).  An EventId is
-// (generation << 32) | pool index: cancel() checks the record's generation,
-// destroys the callable at once and marks the record dead, so the queue
-// entry is dropped without any lookup when it reaches the front.  Firing
-// or cancelling bumps the generation, which makes every older id for that
-// record stale; the generation skips 0, so 0 is never a valid id.
+// (generation << 32) | pool index.  Firing or cancelling bumps the record's
+// generation, which makes every older id for it stale.  cancel() checks the
+// generation, destroys the callable and puts the record straight back on the
+// free list, so a cancelled far-future timer holds no record while it waits.
+// Each queue entry carries the generation its record had when it was
+// queued; an entry that surfaces with a different one is dead and is
+// dropped without a lookup.  A record whose generation would wrap to 0 is
+// never reused, so 0 is never a valid id and a dead entry can never match
+// a newer event (the cost is one record per 2^32 reuses of it).
 //
 // Queue entries are ordered by (time, schedule sequence), the classic
-// (time, insertion) order.  Near-future events go into a 1024-slot bucket
-// ring (4.096 us granularity, ~4.2 ms horizon); far events fall back to a
-// binary heap and migrate into the ring as the window advances.  A plain
-// (time, sequence) priority queue is the reference model the tests compare
-// this queue against.
+// (time, insertion) order: the pair is the entry's DispatchKey.  reserve()
+// hands out a key now without queueing anything; schedule_at(key, fn) may
+// queue an event under it later, as long as the key has not passed(), and
+// it dispatches exactly where an event scheduled at reserve() time would
+// have.  Near-future events go into a 1024-slot bucket ring (4.096 us
+// granularity, ~4.2 ms horizon); far events fall back to a binary heap and
+// migrate into the ring as the window advances.  A plain (time, sequence)
+// priority queue is the reference model the tests compare this queue
+// against.
 #pragma once
 
 #include <array>
@@ -39,6 +47,14 @@ namespace xunet::sim {
 /// Handle for a scheduled event, used to cancel it: (generation << 32) |
 /// pool index.  Never 0, so 0 can mean "not armed".
 using EventId = std::uint64_t;
+
+/// A dispatch position: events run in ascending (when, seq) order.  Taken
+/// by Simulator::reserve(); seq is unique across every event and key.
+struct DispatchKey {
+  SimTime when;
+  std::uint64_t seq = 0;
+  [[nodiscard]] constexpr auto operator<=>(const DispatchKey&) const noexcept = default;
+};
 
 /// Discrete-event simulator: event queue + clock + observability context.
 class Simulator {
@@ -65,12 +81,34 @@ class Simulator {
   template <typename F>
   EventId schedule_at(SimTime when, F&& fn) {
     assert(when >= now_);
-    std::uint32_t idx = alloc_rec();
-    bind(rec(idx), std::forward<F>(fn));
-    return insert_ref(when, idx);
+    return enqueue(when.ns(), scheduled_++, std::forward<F>(fn));
   }
 
-  /// Cancel a scheduled event and destroy its callable.  Returns true only
+  /// Take the dispatch key of an event `delay` from now (negative delays
+  /// clamp to now, as in schedule()) without queueing anything.  It uses up
+  /// the sequence number such an event would have had.
+  [[nodiscard]] DispatchKey reserve(SimDuration delay) noexcept {
+    if (delay.ns() < 0) delay = SimDuration{0};
+    return {now_ + delay, scheduled_++};
+  }
+
+  /// Schedule under a key from reserve() that no dispatched event lies
+  /// beyond (see passed()): the event runs exactly where one scheduled at
+  /// reserve() time would have.
+  template <typename F>
+  EventId schedule_at(DispatchKey key, F&& fn) {
+    assert(key.seq < scheduled_ && !(key < through_));
+    return enqueue(key.when.ns(), key.seq, std::forward<F>(fn));
+  }
+
+  /// True once every event with a smaller (when, seq) than `key` has been
+  /// dispatched, so an event under `key` could no longer run in order.
+  /// Inside a callback the engine has dispatched through that event's key;
+  /// when run() or run_until() returns, through (now, next sequence).
+  [[nodiscard]] bool passed(DispatchKey key) const noexcept { return key <= through_; }
+
+  /// Cancel a scheduled event, destroy its callable and free its record at
+  /// once (its queue entry is dropped when it surfaces).  Returns true only
   /// if the event was still pending; false for 0, for an id whose event
   /// already fired, is running or was cancelled, and for a stale id whose
   /// record now holds a newer event (which is left alone).  O(1).
@@ -109,7 +147,7 @@ class Simulator {
   [[nodiscard]] const obs::Observability& obs() const noexcept { return obs_; }
 
  private:
-  friend struct SimulatorTestPeer;  ///< drives a record to the generation wrap
+  friend struct SimulatorTestPeer;  ///< generation wrap and pool size
 
   static constexpr std::size_t kSboBytes = 48;
   static constexpr unsigned kGranShift = 12;  ///< 4096 ns bucket granularity
@@ -128,12 +166,15 @@ class Simulator {
     alignas(std::max_align_t) unsigned char sbo[kSboBytes];
   };
 
-  /// Queue handle: (when, seq) is the dispatch key, rec indexes the pool.
+  /// Queue handle: (when, seq) is the dispatch key, rec indexes the pool
+  /// and gen is the record's generation when the entry was queued.
   struct Ref {
     std::int64_t when;
     std::uint64_t seq;
     std::uint32_t rec;
+    std::uint32_t gen;
   };
+  static_assert(sizeof(Ref) == 24, "gen must fill Ref's padding");
   struct RefLater {
     bool operator()(const Ref& a, const Ref& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
@@ -166,13 +207,21 @@ class Simulator {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 
-  /// The pending event's id is now stale; the generation skips 0.
-  static void retire(EventRec& r) noexcept {
-    if (++r.gen == 0) r.gen = 1;
+  template <typename F>
+  EventId enqueue(std::int64_t when, std::uint64_t seq, F&& fn) {
+    std::uint32_t idx = alloc_rec();
+    bind(rec(idx), std::forward<F>(fn));
+    return insert_ref(Ref{when, seq, idx, rec(idx).gen});
+  }
+
+  /// The fired or cancelled event's id and queue entry are now stale; the
+  /// record goes back on the free list unless its generation wrapped.
+  void release(std::uint32_t idx) {
+    if (++rec(idx).gen != 0) free_list_.push_back(idx);
   }
 
   std::uint32_t alloc_rec();
-  EventId insert_ref(SimTime when, std::uint32_t idx);
+  EventId insert_ref(const Ref& r);
   bool refill();               ///< make active_ non-empty if any event exists
   void activate_slot(std::int64_t abs_slot);
   void drain_overflow();       ///< pull overflow events now inside the window
@@ -185,7 +234,8 @@ class Simulator {
   // ---- state -------------------------------------------------------------
 
   SimTime now_{};
-  std::uint64_t scheduled_ = 0;  ///< events ever scheduled; the next seq
+  std::uint64_t scheduled_ = 0;  ///< events and keys ever issued; the next seq
+  DispatchKey through_{};        ///< every smaller key has been dispatched
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
 

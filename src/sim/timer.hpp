@@ -12,6 +12,10 @@
 // A Timer is a movable handle over one EventId: the scheduled callable never
 // captures the Timer, so records holding Timers by value may live in
 // vectors, maps and slabs that move them.
+//
+// A Timer arms with a delay, or with a DispatchKey reserved earlier: the
+// switch drain reserves the key of the instant its line frees up and arms
+// under it only when a cell is waiting, so it never wakes up idle.
 #pragma once
 
 #include <utility>
@@ -45,6 +49,15 @@ class Timer {
   void arm(SimDuration delay, F&& on_expiry) {
     cancel();
     id_ = sim_->schedule(delay, std::forward<F>(on_expiry));
+  }
+
+  /// Arm (or re-arm) the timer under a key from Simulator::reserve() that
+  /// has not passed: it expires exactly where an expiry armed at reserve()
+  /// time would have.  A pending expiry is cancelled first.
+  template <typename F>
+  void arm(DispatchKey key, F&& on_expiry) {
+    cancel();
+    id_ = sim_->schedule_at(key, std::forward<F>(on_expiry));
   }
 
   /// Cancel a pending expiry; no-op when idle.

@@ -266,7 +266,10 @@ TEST(AtmSwitch, ExactPathDeliversEachCellAtItsOwnInstant) {
     c.payload[0] = static_cast<std::uint8_t>(i);
     in.send(c);
   }
-  sim.run();
+  // Per cell: the input link's delivery, the fabric and the output link's
+  // delivery.  The drain sends each cell from its fabric event and never
+  // wakes up to an empty queue.
+  EXPECT_EQ(sim.run(), static_cast<std::size_t>(3 * kCells));
   ASSERT_EQ(sink.at_ns.size(), static_cast<std::size_t>(kCells));
   for (int i = 0; i < kCells; ++i) {
     SCOPED_TRACE(i);
@@ -287,7 +290,9 @@ TEST(AtmSwitch, ExactPathDeliversEachCellAtItsOwnInstant) {
   sim.schedule_at(sim::SimTime(t0), [&] {
     sw.input(p_in).cells_arrival(train.data(), train.size());
   });
-  sim.run();
+  // The arrival, one fabric event for the train, a drain wake-up for each
+  // cell after the first, and one output delivery per cell.
+  EXPECT_EQ(sim.run(), static_cast<std::size_t>(1 + 1 + (kCells - 1) + kCells));
   ASSERT_EQ(sink.at_ns.size(), static_cast<std::size_t>(2 * kCells));
   for (int i = 0; i < kCells; ++i) {
     SCOPED_TRACE(kCells + i);
@@ -296,6 +301,49 @@ TEST(AtmSwitch, ExactPathDeliversEachCellAtItsOwnInstant) {
     EXPECT_EQ(sink.at_ns[k], t0 + kFabric + i * kCell + kCell + kProp);
   }
   EXPECT_EQ(sw.cells_switched(), static_cast<std::uint64_t>(2 * kCells));
+}
+
+TEST(AtmSwitch, MergedInputsLeaveAtLineFreeOrAtOnce) {
+  constexpr std::int64_t kCell = 681;  // OC-12 cell time, whole ns
+  constexpr std::int64_t kProp = 5'000;
+  constexpr std::int64_t kFabric = 10'000;
+  sim::Simulator sim;
+  AtmSwitch sw(sim, "s", sim::nanoseconds(kFabric));
+  const int p_a = sw.add_port();
+  const int p_b = sw.add_port();
+  const int p_out = sw.add_port();
+  TimedSink sink(sim);
+  CellLink out(sim, kOc12Bps, sim::nanoseconds(kProp), sink);
+  sw.set_output(p_out, out);
+  ASSERT_TRUE(sw.install_route(p_a, 100, p_out, 200, Qos{}).ok());
+  ASSERT_TRUE(sw.install_route(p_b, 101, p_out, 201, Qos{}).ok());
+  ASSERT_EQ(out.cell_time().ns(), kCell);
+
+  // Cell `tag` reaches input `port` at `at`, and the fabric kFabric later.
+  auto arrive = [&](std::int64_t at, int port, Vci vci, int tag) {
+    Cell c;
+    c.vci = vci;
+    c.payload[0] = static_cast<std::uint8_t>(tag);
+    sim.schedule_at(sim::SimTime(at), [&sw, port, c] { sw.input(port).cell_arrival(c); });
+  };
+  const std::int64_t t0 = 1'000'000;
+  arrive(t0, p_a, 100, 0);                 // idle line: leaves at once
+  arrive(t0 + kCell / 2, p_b, 101, 1);     // mid-cell-time: waits for line-free
+  arrive(t0 + 2 * kCell, p_a, 100, 2);     // exactly at line-free: at once
+  arrive(t0 + 10 * kCell, p_b, 101, 3);    // long after: at once
+  // Four arrivals, four fabric events, two drain wake-ups (cells 1 and 2
+  // each waited for the line) and four output deliveries.
+  EXPECT_EQ(sim.run(), 14u);
+
+  const std::int64_t leave[] = {t0 + kFabric, t0 + kFabric + kCell,
+                                t0 + kFabric + 2 * kCell, t0 + kFabric + 10 * kCell};
+  ASSERT_EQ(sink.at_ns.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(sink.tags[i], static_cast<int>(i));
+    EXPECT_EQ(sink.at_ns[i], leave[i] + kCell + kProp);
+  }
+  EXPECT_EQ(sink.vcis, (std::vector<Vci>{200, 201, 200, 201}));
 }
 
 TEST(AtmSwitch, RemoveUnknownRouteFails) {

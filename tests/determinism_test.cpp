@@ -88,7 +88,13 @@ TEST(Determinism, SteadyStateCellPathIsAllocationFree) {
 
   atm::Cell cell;
   cell.vci = 100;
+  // The engine's near-future ring has 1024 buckets of 4096 ns, and a bucket
+  // vector grows the first time it holds more entries than ever before.
+  // Every batch starts on a ring-period boundary, so each one files its
+  // events into the same buckets, at the same depths, as the warm-ups did.
+  constexpr std::int64_t kRingPeriodNs = 1024 * 4096;
   auto batch = [&](int frames) {
+    sim.run_until(sim::SimTime((sim.now().ns() / kRingPeriodNs + 1) * kRingPeriodNs));
     for (int f = 0; f < frames; ++f) {
       sim.schedule(sim::microseconds(100 * static_cast<std::int64_t>(f)),
                    [&] {
@@ -99,8 +105,8 @@ TEST(Determinism, SteadyStateCellPathIsAllocationFree) {
   };
 
   // Two warmup rounds: the first grows rings, pool chunks, and route
-  // tables; the second touches the timer-wheel slots at the batch's other
-  // time residues (batch start drifts across the wheel between rounds).
+  // tables; the second starts, like the measured one, from where a batch
+  // leaves the engine's window.
   batch(200);
   batch(200);
   const std::uint64_t delivered_warm = sink.n;

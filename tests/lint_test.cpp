@@ -121,6 +121,15 @@ TEST(LintLife, RefCaptureFlaggedOnlyAtScheduleSinks) {
   EXPECT_EQ(r.findings.size(), 2u);
 }
 
+TEST(LintLife, RefCaptureFlaggedAtKeyedTimerArm) {
+  Report r = lint_files({"life_keyed_arm.cpp"});
+  auto fs = with_rule(r, "LIFE-REF-CAPTURE");
+  EXPECT_EQ(lines_of(fs), (std::vector<int>{22}));
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_NE(fs[0]->message.find("'arm'"), std::string::npos);
+  EXPECT_EQ(r.findings.size(), 1u);
+}
+
 TEST(LintLife, TimerRearmFlagsRefCapturesInSelfArmingChains) {
   Report r = lint_files({"life_rearm.cpp"});
   auto fs = with_rule(r, "LIFE-TIMER-REARM");

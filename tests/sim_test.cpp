@@ -19,12 +19,13 @@
 namespace xunet::sim {
 
 /// Sets the generation of a free pool record, so a test can reach the
-/// generation wrap without 2^32 schedule/fire cycles.
+/// generation wrap without 2^32 schedule/fire cycles, and reads the pool size.
 struct SimulatorTestPeer {
   static void set_generation(Simulator& sim, std::uint32_t idx, std::uint32_t gen) {
     ASSERT_EQ(sim.rec(idx).thunk, nullptr) << "record must be free";
     sim.rec(idx).gen = gen;
   }
+  static std::size_t chunks(const Simulator& sim) { return sim.chunks_.size(); }
 };
 
 namespace {
@@ -241,13 +242,61 @@ TEST(EngineContract, IdZeroIsNeverIssuedAcrossTheGenerationWrap) {
   EXPECT_EQ(last, EventId{std::numeric_limits<std::uint32_t>::max()} << 32);
   EXPECT_FALSE(sim.cancel(0));
   sim.run();
-  EventId wrapped = sim.schedule(milliseconds(1), [&] { ran = true; });
-  EXPECT_NE(wrapped, 0u);
-  EXPECT_EQ(wrapped, EventId{1} << 32);  // generation 0 is skipped
+  // Firing would wrap record 0's generation to 0, so the record is retired
+  // for good: the next event takes another record, and no id is ever 0.
+  EventId next = sim.schedule(milliseconds(1), [&] { ran = true; });
+  EXPECT_NE(next, 0u);
+  EXPECT_NE(static_cast<std::uint32_t>(next), 0u);
+  EXPECT_EQ(next >> 32, 1u);  // a fresh record's first generation
   EXPECT_FALSE(sim.cancel(0));
   EXPECT_FALSE(sim.cancel(last));
+  EXPECT_FALSE(sim.is_pending(last));
   sim.run();
   EXPECT_TRUE(ran);
+  // The same holds when a cancel reaches the wrap.
+  const auto idx = static_cast<std::uint32_t>(next);
+  SimulatorTestPeer::set_generation(sim, idx, std::numeric_limits<std::uint32_t>::max());
+  EventId doomed = sim.schedule(seconds(30), [] { FAIL() << "cancelled event ran"; });
+  ASSERT_EQ(static_cast<std::uint32_t>(doomed), idx);
+  ASSERT_TRUE(sim.cancel(doomed));
+  for (int i = 0; i < 4; ++i) {
+    EventId id = sim.schedule(milliseconds(1), [] {});
+    EXPECT_NE(id, 0u);
+    EXPECT_NE(static_cast<std::uint32_t>(id), 0u);
+    EXPECT_NE(static_cast<std::uint32_t>(id), idx);
+  }
+  EXPECT_EQ(sim.run(), 5u);  // four events plus the dead entry
+}
+
+TEST(EngineContract, DeadEntryNeverRunsTheEventThatReusesItsRecord) {
+  Simulator sim;
+  int a_runs = 0;
+  std::vector<std::int64_t> b_at;
+  EventId a = sim.schedule(seconds(30), [&] { ++a_runs; });
+  ASSERT_TRUE(sim.cancel(a));
+  // A's record is free at once, so B takes it while A's entry is queued.
+  EventId b = sim.schedule(milliseconds(1), [&] { b_at.push_back(sim.now().ns()); });
+  ASSERT_EQ(static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(a));
+  EXPECT_FALSE(sim.is_pending(a));
+  EXPECT_TRUE(sim.is_pending(b));
+  EXPECT_EQ(sim.run(), 2u);  // B, then A's dead entry at 30 s
+  EXPECT_EQ(a_runs, 0);
+  EXPECT_EQ(b_at, (std::vector<std::int64_t>{1'000'000}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EngineContract, CancelledFarEventsDoNotGrowThePool) {
+  Simulator sim;
+  for (int i = 0; i < 10'000; ++i) {
+    EventId id = sim.schedule(seconds(30), [] {});
+    ASSERT_TRUE(sim.cancel(id));
+  }
+  // Every cancel returned its record, so one 512-record chunk served all
+  // 10k events although their dead entries are still queued.
+  EXPECT_EQ(SimulatorTestPeer::chunks(sim), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peak_pending(), 1u);
+  EXPECT_EQ(sim.run(), 10'000u);
 }
 
 TEST(EngineContract, CancelOfUnissuedIdsIsFalse) {
@@ -287,6 +336,80 @@ TEST(EngineContract, IsPendingOnlyWhileTheEventCanFire) {
   EXPECT_FALSE(sim.is_pending(live | 0xFFFF'FFFFu));  // beyond the pool
   EXPECT_FALSE(sim.is_pending(0));
   sim.run();
+}
+
+// ------------------------------------------------------------ dispatch keys
+
+TEST(DispatchKeys, ReservedKeyRunsBeforeALaterSameInstantEvent) {
+  Simulator sim;
+  std::vector<std::string> order;
+  const DispatchKey key = sim.reserve(milliseconds(1));
+  sim.schedule(milliseconds(1), [&] { order.push_back("later"); });
+  EXPECT_EQ(sim.pending(), 1u);  // the reservation queued nothing
+  EXPECT_FALSE(sim.passed(key));
+  std::optional<bool> passed_inside;
+  sim.schedule_at(key, [&] {
+    order.push_back("reserved");
+    passed_inside = sim.passed(key);
+  });
+  EXPECT_FALSE(sim.passed(key));
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<std::string>{"reserved", "later"}));
+  ASSERT_TRUE(passed_inside.has_value());
+  EXPECT_TRUE(*passed_inside);
+  EXPECT_TRUE(sim.passed(key));
+}
+
+TEST(DispatchKeys, PassedOnceRunUntilCoversAnUnscheduledKey) {
+  Simulator sim;
+  const DispatchKey key = sim.reserve(milliseconds(2));
+  const DispatchKey neg = sim.reserve(milliseconds(-1));  // clamps to now
+  EXPECT_EQ(neg.when, SimTime{});
+  EXPECT_EQ(neg.seq, key.seq + 1);
+  sim.run_until(SimTime(1'500'000));
+  EXPECT_FALSE(sim.passed(key));
+  EXPECT_TRUE(sim.passed(neg));
+  sim.run_until(SimTime(2'000'000));
+  EXPECT_TRUE(sim.passed(key));
+}
+
+TEST(DispatchKeys, KeyPassesWhenTheEventBeforeItIsDispatched) {
+  Simulator sim;
+  std::vector<bool> seen;
+  sim.schedule(milliseconds(1), [&] { seen.push_back(false); });
+  const DispatchKey key = sim.reserve(milliseconds(1));
+  // Runs at the same instant but after `key`: the key has passed by then.
+  sim.schedule(milliseconds(1), [&] { seen.push_back(sim.passed(key)); });
+  sim.schedule(microseconds(999), [&] { seen.push_back(sim.passed(key)); });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true}));
+}
+
+TEST(Timer, KeyedArmFiresAtItsKeyAfterMoveAndCancels) {
+  Simulator sim;
+  std::vector<std::string> order;
+  Timer t(sim);
+  const DispatchKey key = sim.reserve(milliseconds(1));
+  sim.schedule(milliseconds(1), [&] { order.push_back("later"); });
+  t.arm(key, [&] { order.push_back("timer"); });
+  EXPECT_TRUE(t.armed());
+  Timer moved(std::move(t));
+  EXPECT_FALSE(t.armed());  // NOLINT(bugprone-use-after-move): moved-from is unarmed
+  EXPECT_TRUE(moved.armed());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"timer", "later"}));
+  EXPECT_FALSE(moved.armed());
+
+  // Re-armed under a second key and cancelled: nothing runs, nothing waits.
+  const DispatchKey key2 = sim.reserve(milliseconds(1));
+  moved.arm(key2, [&] { order.push_back("cancelled"); });
+  EXPECT_EQ(sim.pending(), 1u);
+  moved.cancel();
+  EXPECT_FALSE(moved.armed());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.run_for(milliseconds(1)), 1u);  // the dead entry, dropped
+  EXPECT_EQ(order.size(), 2u);
+  EXPECT_TRUE(sim.passed(key2));
 }
 
 // ------------------------------------ differential test against a reference

@@ -120,7 +120,7 @@ const std::map<std::string, std::vector<std::string>>& required_keys() {
       {"scaling", {"open_connections_held"}},
       {"call_load",
        {"live_vcs_peak", "wall_us_per_call_lo", "wall_us_per_call_hi",
-        "sublinear_ratio", "setup_us_p50_hi"}},
+        "sublinear_ratio", "setup_us_p50_hi", "peak_rss_MB"}},
       {"qos",
        {"cbr_reserved_mbps", "cbr_goodput_mbps", "cbr_goodput_fraction",
         "policed_cells", "ubr_shed_cells"}},

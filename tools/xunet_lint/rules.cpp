@@ -27,14 +27,18 @@ void add(std::vector<Finding>& out, const Unit& u, const std::string& rule,
   out.push_back(std::move(f));
 }
 
+/// Calls that hand a callable to the event engine: Simulator::schedule and
+/// schedule_at (by delay, instant or reserved DispatchKey) and Timer::arm
+/// (by delay or key).  Overloads share a name, so one set covers them all.
+const std::set<std::string> kScheduleSinks = {"schedule", "schedule_at", "arm"};
+
 /// Idents whose presence in a loop body means the iteration order reaches
 /// the event queue or the wire.
 bool effectful_ident(const std::string& s) {
-  static const std::set<std::string> kExact = {
-      "schedule", "schedule_at", "arm",       "transmit_peer",
-      "wire_send", "serialize",  "emit",      "complete",
+  static const std::set<std::string> kWire = {
+      "transmit_peer", "wire_send", "serialize", "emit", "complete",
   };
-  if (kExact.count(s) != 0) return true;
+  if (kScheduleSinks.count(s) != 0 || kWire.count(s) != 0) return true;
   return s.find("send") != std::string::npos;
 }
 
@@ -236,11 +240,9 @@ void rule_det_ptr_key(const Unit& u, std::vector<Finding>& out) {
 // ---------------------------------------------------------------- LIFE
 
 void rule_life_ref_capture(const Unit& u, std::vector<Finding>& out) {
-  static const std::set<std::string> kSinks = {"schedule", "schedule_at",
-                                               "arm"};
   const std::vector<Token>& t = u.toks;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::ident || kSinks.count(t[i].text) == 0)
+    if (t[i].kind != Token::Kind::ident || kScheduleSinks.count(t[i].text) == 0)
       continue;
     if (t[i + 1].text != "(") continue;
     std::size_t close = match_forward(t, i + 1);
@@ -271,14 +273,12 @@ void rule_life_ref_capture(const Unit& u, std::vector<Finding>& out) {
 }
 
 void rule_life_timer_rearm(const Unit& u, std::vector<Finding>& out) {
-  static const std::set<std::string> kSinks = {"schedule", "schedule_at",
-                                               "arm"};
   const std::vector<Token>& t = u.toks;
   // Argument spans of every sink call: lambdas inside them are
   // LIFE-REF-CAPTURE's territory, not this rule's.
   std::vector<std::pair<std::size_t, std::size_t>> sink_args;
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::ident || kSinks.count(t[i].text) == 0)
+    if (t[i].kind != Token::Kind::ident || kScheduleSinks.count(t[i].text) == 0)
       continue;
     if (t[i + 1].text != "(") continue;
     std::size_t close = match_forward(t, i + 1);
@@ -330,7 +330,7 @@ void rule_life_timer_rearm(const Unit& u, std::vector<Finding>& out) {
     }
     std::size_t body_end = match_forward(t, b);
     for (std::size_t k = b + 1; k < body_end && k < t.size(); ++k) {
-      if (t[k].kind == Token::Kind::ident && kSinks.count(t[k].text) != 0) {
+      if (t[k].kind == Token::Kind::ident && kScheduleSinks.count(t[k].text) != 0) {
         add(out, u, "LIFE-TIMER-REARM", t[j].line,
             "by-reference capture in a lambda that re-arms via '" + t[k].text +
                 "': every later firing of the chain runs after the frame the "
