@@ -13,6 +13,7 @@
 #include "bench_json.hpp"
 #include "obs/obs.hpp"
 #include "userlib/userlib.hpp"
+#include "util/alloc_hook.hpp"
 #include "util/stats.hpp"
 
 namespace xunet::bench {
@@ -107,6 +108,7 @@ void run() {
   std::uint64_t maint_before = mx.counter_value("sighost.maint.records");
   const int kCalls = bench_short() ? 5 : 20;
   const auto wall0 = std::chrono::steady_clock::now();
+  const std::uint64_t allocs0 = util::alloc_count();
   for (int i = 0; i < kCalls; ++i) {
     sim::SimTime start = tb->sim().now();
     std::optional<sim::SimTime> got_vci;
@@ -133,6 +135,8 @@ void run() {
   const double call_wall_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
+  const double allocs_per_call =
+      static_cast<double>(util::alloc_count() - allocs0) / kCalls;
 
   const util::Summary& accept_times = accept_ms.summary();
   const util::Summary& setup_times = setup_ms.summary();
@@ -173,6 +177,8 @@ void run() {
   JsonReport rep("signaling");
   rep.metric("calls", kCalls);
   rep.metric("calls_per_sec_wall", kCalls / call_wall_secs);
+  // Heap allocations per open/attach/close cycle, over the call loop only.
+  rep.metric("allocs_per_call", allocs_per_call);
   rep.metric("setup_ms_p50", setup_times.percentile(50));
   rep.metric("setup_ms_p90", setup_times.percentile(90));
   rep.metric("setup_ms_p99", setup_times.percentile(99));

@@ -129,9 +129,10 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
   vc.partial.insert(vc.partial.end(), cell.payload.begin(), cell.payload.end());
   if (!cell.end_of_frame) return;
 
-  util::Buffer pdu = std::move(vc.partial);
-  vc.partial.clear();
-
+  // The PDU is checked in place and the payload copied out, so the buffer
+  // keeps its capacity for the next frame; every exit below clears it
+  // before a callback can release the VC.
+  const util::Buffer& pdu = vc.partial;
   // The PDU is a whole number of cells >= 1, so the trailer is present.
   const std::uint8_t* trailer = pdu.data() + pdu.size() - kAal5TrailerBytes;
   const std::uint8_t seq = trailer[0];
@@ -141,32 +142,37 @@ void Aal5Reassembler::cell_arrival(const Cell& cell) {
                                  static_cast<std::uint32_t>(trailer[5]) << 16 |
                                  static_cast<std::uint32_t>(trailer[6]) << 8 |
                                  trailer[7];
+  auto drop = [&](Aal5Error e) {
+    vc.partial.clear();
+    fail(cell.vci, e);
+  };
 
   if (util::crc32({pdu.data(), pdu.size() - 4}) != wire_crc) {
-    fail(cell.vci, Aal5Error::crc_mismatch);
+    drop(Aal5Error::crc_mismatch);
     return;
   }
   // Length consistency: payload must fit the PDU with <48 bytes of pad.
   const std::size_t expected_pdu =
       cells_for_payload(length) * kCellPayload;
   if (expected_pdu != pdu.size()) {
-    fail(cell.vci, Aal5Error::length_mismatch);
+    drop(Aal5Error::length_mismatch);
     return;
   }
-  if (vc.has_expected_seq && seq != vc.expected_seq) {
-    fail(cell.vci, Aal5Error::out_of_order);
-    // Resynchronize to the received frame so one loss does not poison the VC.
-    vc.expected_seq = static_cast<std::uint8_t>(seq + 1);
-    vc.has_expected_seq = true;
-    return;
-  }
+  const bool in_order = !vc.has_expected_seq || seq == vc.expected_seq;
+  // An out-of-order frame resynchronizes the VC to itself, so one loss does
+  // not poison it.
   vc.expected_seq = static_cast<std::uint8_t>(seq + 1);
   vc.has_expected_seq = true;
+  if (!in_order) {
+    drop(Aal5Error::out_of_order);
+    return;
+  }
 
   Aal5Frame frame;
   frame.vci = cell.vci;
   frame.seq = seq;
   frame.payload.assign(pdu.begin(), pdu.begin() + static_cast<long>(length));
+  vc.partial.clear();
   ++frames_;
   on_frame_(std::move(frame));
 }

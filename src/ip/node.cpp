@@ -25,13 +25,13 @@ IpEgress* IpNode::route_for(IpAddress dst) const {
 }
 
 util::Result<void> IpNode::send(IpAddress dst, IpProto proto,
-                                util::BytesView payload) {
+                                util::Buffer payload) {
   IpPacket p;
   p.src = addr_;
   p.dst = dst;
   p.protocol = proto;
   p.id = next_id_++;
-  p.payload = util::to_buffer(payload);
+  p.payload = std::move(payload);
   if (dst == addr_) {
     // Loopback: deliver on the next event-loop turn, like a software
     // interrupt, so callers never reenter themselves synchronously.

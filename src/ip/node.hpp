@@ -42,9 +42,10 @@ class IpNode {
   void set_default_route(IpEgress& egress);
 
   /// Send `payload` to `dst` as protocol `proto`, fragmenting to the
-  /// egress MTU.  Fails with no_route when no interface matches and
-  /// message_too_long when a fragment cannot carry even 8 bytes.
-  util::Result<void> send(IpAddress dst, IpProto proto, util::BytesView payload);
+  /// egress MTU.  The buffer becomes the packet's payload, uncopied.  Fails
+  /// with no_route when no interface matches and message_too_long when a
+  /// fragment cannot carry even 8 bytes.
+  util::Result<void> send(IpAddress dst, IpProto proto, util::Buffer payload);
 
   /// Called by links (or virtual interfaces) when a frame arrives here.
   void frame_arrival(util::BytesView wire);

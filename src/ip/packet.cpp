@@ -40,7 +40,7 @@ util::Result<IpAddress> parse_ip(std::string_view s) {
 }
 
 util::Buffer serialize(const IpPacket& p) {
-  util::Writer w;
+  util::Writer w(kIpHeaderBytes + p.payload.size());
   w.u8(0x45);  // version 4, IHL 5
   w.u8(0);     // TOS
   w.u16(static_cast<std::uint16_t>(kIpHeaderBytes + p.payload.size()));
@@ -54,11 +54,11 @@ util::Buffer serialize(const IpPacket& p) {
   w.u16(0);  // checksum placeholder
   w.u32(p.src.value);
   w.u32(p.dst.value);
+  w.bytes(p.payload);
   util::Buffer out = w.take();
   std::uint16_t csum = util::internet_checksum({out.data(), kIpHeaderBytes});
   out[10] = static_cast<std::uint8_t>(csum >> 8);
   out[11] = static_cast<std::uint8_t>(csum);
-  out.insert(out.end(), p.payload.begin(), p.payload.end());
   return out;
 }
 

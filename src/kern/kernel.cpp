@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace xunet::kern {
 
@@ -15,6 +16,15 @@ constexpr std::size_t kXunetSocketBufferFrames = 64;
 /// delivery).  Data transfer does not reschedule another process, so this
 /// is small.
 constexpr sim::SimDuration kDataSyscall = sim::microseconds(30);
+
+namespace {
+
+/// An empty handler stays null, so `if (handler)` still means "registered".
+std::shared_ptr<const Kernel::DataFn> share(Kernel::DataFn fn) {
+  return fn ? std::make_shared<const Kernel::DataFn>(std::move(fn)) : nullptr;
+}
+
+}  // namespace
 
 Kernel::Kernel(sim::Simulator& sim, std::string name, Role role,
                ip::IpAddress ip_addr, atm::AtmAddress atm_addr,
@@ -120,7 +130,12 @@ bool Kernel::alive(Pid pid) const { return proc(pid) != nullptr; }
 template <typename Fn, typename... Args>
 void Kernel::upcall(Pid owner, sim::SimDuration delay, Fn fn, Args... args) {
   sim_.schedule(delay, [this, owner, fn = std::move(fn), ... args = std::move(args)] {
-    if (alive(owner)) fn(args...);
+    if (!alive(owner)) return;
+    if constexpr (std::is_invocable_v<const Fn&, const Args&...>) {
+      fn(args...);
+    } else {
+      (*fn)(args...);  // a SharedDataFn
+    }
   });
 }
 
@@ -374,12 +389,12 @@ void Kernel::attach_tcp_handlers(std::uint64_t handle, tcp::ConnId conn) {
   // data and close events that beat the application's handler registration
   // are buffered on the socket, never dropped.
   tcp_->set_released_handler(conn, [this](tcp::ConnId c) { tcp_released(c); });
-  tcp_->set_receive_handler(conn, [this, handle](util::BytesView data) {
+  tcp_->set_receive_handler(conn, [this, handle](util::Buffer data) {
     auto it = tsocks_.find(handle);
     if (it == tsocks_.end()) return;
     TcpSock& ts = it->second;
     if (ts.app_receive) {
-      upcall(ts.owner, cfg_.context_switch, ts.app_receive, util::to_buffer(data));
+      upcall(ts.owner, cfg_.context_switch, ts.app_receive, std::move(data));
     } else {
       ts.pending_data.insert(ts.pending_data.end(), data.begin(), data.end());
     }
@@ -444,7 +459,7 @@ util::Result<void> Kernel::tcp_on_receive(Pid pid, int fd, DataFn fn) {
   auto it = tsocks_.find(d->handle);
   if (it == tsocks_.end() || it->second.listener) return Errc::not_connected;
   TcpSock& ts = it->second;
-  ts.app_receive = std::move(fn);
+  ts.app_receive = share(std::move(fn));
   if (!ts.pending_data.empty()) {
     // Deliver whatever arrived before the handler existed.
     upcall(ts.owner, cfg_.context_switch, ts.app_receive, std::move(ts.pending_data));
@@ -574,7 +589,7 @@ util::Result<void> Kernel::xunet_on_receive(Pid pid, int fd, DataFn fn) {
   auto d = descriptor(pid, fd, Descriptor::Kind::xunet);
   if (!d) return d.error();
   XunetSock& xs = xsocks_.at(d->handle);
-  xs.on_receive = std::move(fn);
+  xs.on_receive = share(std::move(fn));
   // Drain anything sbappend()ed before the reader showed up, preserving
   // arrival order.
   sim::SimDuration delay = kDataSyscall;

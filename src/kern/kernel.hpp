@@ -189,13 +189,16 @@ class Kernel {
     /// quadratic across a call burst at 10^5+ live fds per process).
     std::set<std::size_t> free_slots;
   };
+  /// A data handler as the upcalls queued for it hold it: each upcall runs
+  /// the handler registered when it was scheduled, and none copies it.
+  using SharedDataFn = std::shared_ptr<const DataFn>;
   struct XunetSock {
     Pid owner = -1;
     int fd = -1;
     SocketState state = SocketState::created;
     atm::Vci vci = atm::kInvalidVci;
     std::uint16_t cookie = 0;
-    DataFn on_receive;
+    SharedDataFn on_receive;
     std::function<void()> on_disconnect;
     /// Socket receive buffer (sbappend): frames that arrive before the
     /// process reads are queued, bounded like a real socket buffer.
@@ -212,7 +215,7 @@ class Kernel {
     bool released = false;  ///< the connection left the TCP state machine
     // Events that arrived before the application installed its handlers are
     // buffered here so nothing is lost to registration races.
-    DataFn app_receive;
+    SharedDataFn app_receive;
     CloseFn app_close;
     util::Buffer pending_data;
     std::optional<util::Errc> pending_close;

@@ -55,12 +55,12 @@ util::Result<void> ProtoAtm::encap_output_to(ip::IpAddress dst, atm::Vci vci,
                 kPerMbufWalk * chain.mbuf_count());
 
   std::uint32_t& seq = send_seq_[vci];
-  util::Writer w;
+  util::Writer w(2 + 2 + self_.name.size() + 4 + 2 + chain.total_bytes());
   w.u16(0);                 // header checksum (0 = not checksummed)
   w.lp_string(self_.name);  // Source Address
   w.u32(seq++);             // Sequence Number
   w.u16(vci);               // VCI
-  w.bytes(chain.linearize());
+  for (const util::Buffer& seg : chain.segments()) w.bytes(seg);
   util::Buffer msg = w.take();
   if (checksum_) {
     std::uint16_t csum = util::internet_checksum(msg);
@@ -72,7 +72,7 @@ util::Result<void> ProtoAtm::encap_output_to(ip::IpAddress dst, atm::Vci vci,
   // IP send cost (count from Clark et al., as in the paper).
   instr_.charge(InstrComponent::ip_layer, InstrDir::send, kIpSend);
   ++encapsulated_;
-  return node_.send(dst, ip::IpProto::atm, msg);
+  return node_.send(dst, ip::IpProto::atm, std::move(msg));
 }
 
 void ProtoAtm::decap_input(const ip::IpPacket& p) {

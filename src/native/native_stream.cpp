@@ -30,7 +30,7 @@ util::Result<void> NativeStream::send(util::BytesView msg) {
   if (outstanding_.size() + queue_.size() >= cfg_.window_msgs) {
     return Errc::would_block;  // back-pressure, not loss
   }
-  util::Writer w;
+  util::Writer w(1 + 4 + msg.size());
   w.u8(kData);
   w.u32(snd_next_++);
   w.bytes(msg);

@@ -1,5 +1,10 @@
 #include "signaling/messages.hpp"
 
+#include <algorithm>
+#include <cassert>
+
+#include "util/checksum.hpp"
+
 namespace xunet::sig {
 
 using util::Errc;
@@ -35,25 +40,22 @@ std::string_view to_string(MsgType t) noexcept {
 
 namespace {
 
-// Fletcher-16 over the message body.  The peer PVCs are datagram sockets:
-// a corrupted cell that slips past (or is injected above) the AAL5 CRC
-// must never parse into a plausible message — a flipped bit in `seq`
-// would acknowledge a message that was never delivered and silently
-// remove it from the retransmit queue.  Detected corruption is loss, and
-// loss is what the reliable-delivery layer already handles.
-std::uint16_t fletcher16(util::BytesView data) {
-  std::uint32_t a = 0, b = 0;
-  for (std::uint8_t byte : data) {
-    a = (a + byte) % 255;
-    b = (b + a) % 255;
-  }
-  return static_cast<std::uint16_t>((b << 8) | a);
+/// The fixed fields and the four u16 string lengths after the checksum.
+constexpr std::size_t kFixedBodyBytes = 42;
+
+std::size_t body_size(const Msg& m) noexcept {
+  return kFixedBodyBytes + m.service.size() + m.qos.size() + m.dst.size() +
+         m.comment.size();
 }
 
-}  // namespace
-
-util::Buffer serialize(const Msg& m) {
-  util::Writer w;
+/// One exact-size buffer: the u16 length when `framed`, the body's
+/// Fletcher-16 (written in place once the body is), then the body.
+util::Buffer encode(const Msg& m, bool framed) {
+  const std::size_t body = body_size(m);
+  const std::size_t sum_at = framed ? 2 : 0;
+  util::Writer w(sum_at + 2 + body);
+  if (framed) w.u16(static_cast<std::uint16_t>(2 + body));
+  w.u16(0);
   w.u8(static_cast<std::uint8_t>(m.type));
   w.u32(m.req_id);
   w.u32(m.seq);
@@ -68,84 +70,77 @@ util::Buffer serialize(const Msg& m) {
   w.lp_string(m.qos);
   w.lp_string(m.dst);
   w.lp_string(m.comment);
-  util::Buffer body = w.take();
-  util::Writer out;
-  out.u16(fletcher16(body));
-  out.bytes(body);
-  return out.take();
+  util::Buffer out = w.take();
+  const std::uint16_t sum = util::fletcher16({out.data() + sum_at + 2, body});
+  out[sum_at] = static_cast<std::uint8_t>(sum >> 8);
+  out[sum_at + 1] = static_cast<std::uint8_t>(sum);
+  return out;
+}
+
+}  // namespace
+
+bool fits_frame(const Msg& m) noexcept { return 2 + body_size(m) <= 0xFFFF; }
+
+util::Buffer serialize(const Msg& m) {
+  assert(std::max({m.service.size(), m.qos.size(), m.dst.size(),
+                   m.comment.size()}) <= 0xFFFF);
+  return encode(m, false);
 }
 
 util::Result<Msg> parse_msg(util::BytesView wire) {
+  // Past this size check the checksum and fixed fields cannot run short.
   util::Reader r(wire);
-  auto sum = r.u16();
-  if (!sum) return Errc::protocol_error;
-  if (*sum != fletcher16(wire.subspan(2))) return Errc::protocol_error;
+  if (wire.size() < 2 + kFixedBodyBytes ||
+      *r.u16() != util::fletcher16(wire.subspan(2))) {
+    return Errc::protocol_error;
+  }
+  const std::uint8_t type = *r.u8();
+  if (type < static_cast<std::uint8_t>(MsgType::export_srv) ||
+      type > static_cast<std::uint8_t>(MsgType::peer_resync_info)) {
+    return Errc::protocol_error;
+  }
   Msg m;
-  auto type = r.u8();
-  auto req_id = r.u32();
-  auto seq = r.u32();
-  auto cookie = r.u16();
-  auto vci = r.u16();
-  auto vci2 = r.u16();
-  auto port = r.u16();
-  auto error = r.u8();
-  auto trace_id = r.u64();
-  auto parent_span = r.u64();
-  if (!type || !req_id || !seq || !cookie || !vci || !vci2 || !port || !error ||
-      !trace_id || !parent_span) {
-    return Errc::protocol_error;
+  m.type = static_cast<MsgType>(type);
+  m.req_id = *r.u32();
+  m.seq = *r.u32();
+  m.cookie = *r.u16();
+  m.vci = *r.u16();
+  m.vci2 = *r.u16();
+  m.port = *r.u16();
+  m.error = *r.u8();
+  m.trace_id = *r.u64();
+  m.parent_span = *r.u64();
+  for (std::string* field : {&m.service, &m.qos, &m.dst, &m.comment}) {
+    auto text = r.lp_bytes();
+    if (!text) return Errc::protocol_error;
+    field->assign(reinterpret_cast<const char*>(text->data()), text->size());
   }
-  if (*type < static_cast<std::uint8_t>(MsgType::export_srv) ||
-      *type > static_cast<std::uint8_t>(MsgType::peer_resync_info)) {
-    return Errc::protocol_error;
-  }
-  m.type = static_cast<MsgType>(*type);
-  m.req_id = *req_id;
-  m.seq = *seq;
-  m.cookie = *cookie;
-  m.vci = *vci;
-  m.vci2 = *vci2;
-  m.port = *port;
-  m.error = *error;
-  m.trace_id = *trace_id;
-  m.parent_span = *parent_span;
-  auto service = r.lp_string();
-  auto qos = r.lp_string();
-  auto dst = r.lp_string();
-  auto comment = r.lp_string();
-  if (!service || !qos || !dst || !comment || !r.exhausted()) {
-    return Errc::protocol_error;
-  }
-  m.service = std::move(*service);
-  m.qos = std::move(*qos);
-  m.dst = std::move(*dst);
-  m.comment = std::move(*comment);
+  if (!r.exhausted()) return Errc::protocol_error;
   return m;
 }
 
 util::Buffer frame(const Msg& m) {
-  util::Buffer body = serialize(m);
-  util::Writer w;
-  w.u16(static_cast<std::uint16_t>(body.size()));
-  w.bytes(body);
-  return w.take();
+  assert(fits_frame(m));
+  return encode(m, true);
 }
 
 void MsgFramer::feed(util::BytesView chunk) {
-  pending_.insert(pending_.end(), chunk.begin(), chunk.end());
-  for (;;) {
-    if (pending_.size() < 2) return;
-    std::size_t len = static_cast<std::size_t>(pending_[0]) << 8 | pending_[1];
-    if (pending_.size() < 2 + len) return;
-    auto parsed = parse_msg({pending_.data() + 2, len});
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<long>(2 + len));
+  // Parse in place: only a message split across chunks is copied, into
+  // pending_, and parsed from there.
+  if (!pending_.empty()) pending_.insert(pending_.end(), chunk.begin(), chunk.end());
+  util::BytesView rest = pending_.empty() ? chunk : util::BytesView(pending_);
+  while (rest.size() >= 2) {
+    std::size_t len = static_cast<std::size_t>(rest[0]) << 8 | rest[1];
+    if (rest.size() < 2 + len) break;
+    auto parsed = parse_msg(rest.subspan(2, len));
+    rest = rest.subspan(2 + len);
     if (parsed) {
       on_msg_(*parsed);
     } else if (on_err_) {
       on_err_(parsed.error());
     }
   }
+  pending_ = util::Buffer(rest.begin(), rest.end());
 }
 
 }  // namespace xunet::sig

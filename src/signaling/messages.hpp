@@ -93,13 +93,18 @@ struct Msg {
   std::uint64_t parent_span = 0;
 };
 
-/// Serialize to wire bytes (no length prefix).
+/// Serialize to wire bytes (no length prefix) in one exact-size buffer.
+/// Each string must fit its u16 length prefix (asserted).
 [[nodiscard]] util::Buffer serialize(const Msg& m);
 /// Parse wire bytes; protocol_error on malformed input.
 [[nodiscard]] util::Result<Msg> parse_msg(util::BytesView wire);
 
-/// Frame a message for a TCP stream: u16 length + body.
+/// Frame a message for a TCP stream, u16 length + body, in one buffer.  The
+/// body must fit that length (asserted); UserLib checks fits_frame first and
+/// fails an oversize request with message_too_long, sending nothing.
 [[nodiscard]] util::Buffer frame(const Msg& m);
+/// True when frame(m)'s body, and so every field, fits its u16 length.
+[[nodiscard]] bool fits_frame(const Msg& m) noexcept;
 
 /// Incremental de-framer for a TCP byte stream.  Feed arbitrary chunks;
 /// complete messages come out through the callback.  A malformed body

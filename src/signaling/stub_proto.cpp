@@ -3,7 +3,7 @@
 namespace xunet::sig {
 
 util::Buffer serialize(const StubMsg& m) {
-  util::Writer w;
+  util::Writer w(kStubMsgBytes);
   w.u8(static_cast<std::uint8_t>(m.type));
   w.u8(static_cast<std::uint8_t>(m.up_type));
   w.u16(m.vci);

@@ -5,7 +5,7 @@ namespace xunet::tcp {
 using util::Errc;
 
 util::Buffer serialize(const Segment& s) {
-  util::Writer w;
+  util::Writer w(kTcpHeaderBytes + s.payload.size());
   w.u16(s.src_port);
   w.u16(s.dst_port);
   w.u32(s.seq);

@@ -28,8 +28,9 @@ struct Segment {
   util::Buffer payload;
 };
 
-/// Header bytes on the wire for this model (ports, seq, ack, flags, window).
-inline constexpr std::size_t kTcpHeaderBytes = 14;
+/// Header bytes on the wire for this model: ports 4, seq 4, ack 4, flags 1,
+/// reserved 1, window 2.
+inline constexpr std::size_t kTcpHeaderBytes = 16;
 
 [[nodiscard]] util::Buffer serialize(const Segment& s);
 [[nodiscard]] util::Result<Segment> parse_segment(util::BytesView wire);

@@ -104,7 +104,7 @@ util::Result<ConnId> TcpLayer::connect(ip::IpAddress dst,
   return id;
 }
 
-void TcpLayer::emit(Conn& c, Flags flags, util::BytesView payload,
+void TcpLayer::emit(Conn& c, Flags flags, util::Buffer payload,
                     std::uint32_t seq) {
   Segment s;
   s.src_port = c.tuple.local_port;
@@ -113,7 +113,7 @@ void TcpLayer::emit(Conn& c, Flags flags, util::BytesView payload,
   s.flags = flags;
   if (flags.ack) s.ack = c.rcv_nxt;
   s.window = static_cast<std::uint16_t>(cfg_.window_bytes / 1024);
-  s.payload = util::to_buffer(payload);
+  s.payload = std::move(payload);
   ++segments_sent_;
   (void)node_.send(c.tuple.peer, ip::IpProto::tcp, serialize(s));
 }
@@ -219,7 +219,7 @@ void TcpLayer::pump(Conn& c) {
     const std::size_t n = std::min(kMss, c.send_buf.size() - offset);
     util::Buffer chunk(c.send_buf.begin() + static_cast<long>(offset),
                        c.send_buf.begin() + static_cast<long>(offset + n));
-    emit(c, Flags{.ack = true}, chunk, c.snd_nxt);
+    emit(c, Flags{.ack = true}, std::move(chunk), c.snd_nxt);
     c.snd_nxt += static_cast<std::uint32_t>(n);
     offset += n;
     sent_any = true;
@@ -274,7 +274,7 @@ void TcpLayer::on_rto(ConnId id) {
 void TcpLayer::segment_arrival(const ip::IpPacket& p) {
   auto parsed = parse_segment(p.payload);
   if (!parsed) return;
-  const Segment& s = *parsed;
+  Segment& s = *parsed;
   TupleKey key{p.src, s.src_port, s.dst_port};
   if (auto it = by_tuple_.find(key); it != by_tuple_.end()) {
     Conn* c = find(it->second);
@@ -343,7 +343,7 @@ void TcpLayer::release(ConnId id) {
   conns_.erase(it);
 }
 
-void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
+void TcpLayer::handle_for_conn(Conn& c, Segment& s, ip::IpAddress src) {
   (void)src;
   if (s.flags.rst) {
     if (c.state == State::syn_sent && c.on_connect) {
@@ -438,15 +438,18 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
 
   // --- in-order data delivery (Go-Back-N receiver) ---
   bool advanced = false;
+  const std::uint32_t fin_seq = s.seq + static_cast<std::uint32_t>(s.payload.size());
   if (!s.payload.empty()) {
     if (s.seq == c.rcv_nxt) {
       c.rcv_nxt += static_cast<std::uint32_t>(s.payload.size());
       advanced = true;
       if (c.on_receive) {
-        auto h = c.on_receive;
+        // The payload moves on to the receiver: no copy of the bytes.
         node_.simulator().schedule(
             sim::SimDuration{},
-            [h, data = s.payload] { h(data); });
+            [h = c.on_receive, data = std::move(s.payload)]() mutable {
+              h(std::move(data));
+            });
       }
     } else {
       // Out of order: discard, re-ACK what we have.
@@ -455,7 +458,6 @@ void TcpLayer::handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src) {
   }
 
   // --- FIN processing ---
-  std::uint32_t fin_seq = s.seq + static_cast<std::uint32_t>(s.payload.size());
   if (s.flags.fin && fin_seq == c.rcv_nxt) {
     c.rcv_nxt += 1;
     advanced = true;

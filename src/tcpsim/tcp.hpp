@@ -54,8 +54,8 @@ class TcpLayer {
   using AcceptHandler = std::function<void(ConnId)>;
   /// Outcome of a connect(): ok (established) or an error.
   using ConnectHandler = std::function<void(util::Result<ConnId>)>;
-  /// In-order received bytes.
-  using ReceiveHandler = std::function<void(util::BytesView)>;
+  /// In-order received bytes, handed over with the segment's payload buffer.
+  using ReceiveHandler = std::function<void(util::Buffer)>;
   /// The connection will deliver no more data: peer FIN (ok) or reset.
   using CloseHandler = std::function<void(util::Errc)>;
   /// The connection object is fully gone (left TIME_WAIT / closed); the
@@ -140,9 +140,10 @@ class TcpLayer {
   };
 
   void segment_arrival(const ip::IpPacket& p);
-  void handle_for_conn(Conn& c, const Segment& s, ip::IpAddress src);
+  /// May move the payload out of `s` to the receive handler.
+  void handle_for_conn(Conn& c, Segment& s, ip::IpAddress src);
   void handle_listen(std::uint16_t port, const Segment& s, ip::IpAddress src);
-  void emit(Conn& c, Flags flags, util::BytesView payload, std::uint32_t seq);
+  void emit(Conn& c, Flags flags, util::Buffer payload, std::uint32_t seq);
   void send_rst(ip::IpAddress dst, std::uint16_t dst_port,
                 std::uint16_t src_port, std::uint32_t seq, std::uint32_t ack);
   /// Transmit (or retransmit) everything the window allows.

@@ -147,6 +147,14 @@ void UserLib::on_channel_msg(const Msg& m) {
 
 void UserLib::export_service(const std::string& name,
                              std::uint16_t notify_port, VoidFn on_done) {
+  Msg m;
+  m.type = MsgType::export_srv;
+  m.service = name;
+  m.port = notify_port;
+  if (!sig::fits_frame(m)) {
+    on_done(Errc::message_too_long);
+    return;
+  }
   // create_receive_connection: listen once for per-call connections.
   if (notify_listen_fd_ < 0) {
     auto lfd = k_.tcp_listen(pid_, notify_port, [this](int fd) {
@@ -181,17 +189,13 @@ void UserLib::export_service(const std::string& name,
     notify_listen_fd_ = *lfd;
   }
 
-  ensure_channel([this, name, notify_port,
+  ensure_channel([this, m = std::move(m),
                   on_done = std::move(on_done)](util::Result<void> r) mutable {
     if (!r) {
       on_done(r.error());
       return;
     }
     pending_registrations_.push_back(std::move(on_done));
-    Msg m;
-    m.type = MsgType::export_srv;
-    m.service = name;
-    m.port = notify_port;
     channel_send(m);
   });
 }
@@ -293,6 +297,14 @@ void UserLib::accept_connection(const IncomingRequest& req,
     on_done(Errc::connection_reset);  // call withdrawn meanwhile
     return;
   }
+  Msg m;
+  m.type = MsgType::accept_conn;
+  m.cookie = req.cookie;
+  m.qos = qos;
+  if (!sig::fits_frame(m)) {
+    on_done(Errc::message_too_long);
+    return;
+  }
   it->second.accept_cb = std::move(on_done);
   // Server-observed establishment: accept sent → VCI (or failure) back.
   obs::TraceIds ids;
@@ -300,10 +312,6 @@ void UserLib::accept_connection(const IncomingRequest& req,
   ids.pid = pid_;
   it->second.span =
       XOBS_BEGIN(obs_, "stub", "call.accept", k_.name(), std::move(ids));
-  Msg m;
-  m.type = MsgType::accept_conn;
-  m.cookie = req.cookie;
-  m.qos = qos;
   (void)k_.tcp_send(pid_, req.conn_fd, sig::frame(m));
 }
 
@@ -338,6 +346,17 @@ void UserLib::open_connection(const std::string& dst,
 void UserLib::open_once(const std::string& dst, const std::string& service,
                         const std::string& comment, const std::string& qos,
                         OpenFn on_done, CookieFn on_req_id) {
+  Msg m;
+  m.type = MsgType::connect_req;
+  m.dst = dst;
+  m.service = service;
+  m.comment = comment;
+  m.qos = qos;
+  if (!sig::fits_frame(m)) {
+    if (on_req_id) on_req_id(Errc::message_too_long);  // nothing was sent
+    on_done(Errc::message_too_long);
+    return;
+  }
   // The client-observed end-to-end open: open_connection called → VCI (or
   // failure) delivered.  The call key is unknown until REQ_ID arrives; the
   // span is annotated with it then.  The stub is the root of the causal
@@ -349,7 +368,7 @@ void UserLib::open_once(const std::string& dst, const std::string& service,
   span_ids.trace_id = trace_id;
   obs::SpanId span =
       XOBS_BEGIN(obs_, "stub", "call.open", k_.name(), std::move(span_ids));
-  ensure_channel([this, dst, service, comment, qos, span, trace_id,
+  ensure_channel([this, m = std::move(m), span, trace_id,
                   on_done = std::move(on_done),
                   on_req_id = std::move(on_req_id)](util::Result<void> r) mutable {
     if (!r) {
@@ -367,13 +386,7 @@ void UserLib::open_once(const std::string& dst, const std::string& service,
     // Deliver the cookie as soon as REQ_ID assigns it (possibly empty; the
     // queue must stay aligned with the CONNECT_REQ order).
     pending_cookie_cbs_.push_back(std::move(on_req_id));
-    Msg m;
-    m.type = MsgType::connect_req;
     m.req_id = next_nonce_++;
-    m.dst = dst;
-    m.service = service;
-    m.comment = comment;
-    m.qos = qos;
     // Causal propagation: the sighost's call.setup hop becomes a child of
     // this stub's call.open span.
     m.trace_id = trace_id;

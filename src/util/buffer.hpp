@@ -42,8 +42,9 @@ using BytesView = std::span<const std::uint8_t>;
 class Writer {
  public:
   Writer() = default;
-  /// Start writing into an existing buffer (appends).
-  explicit Writer(Buffer initial) : buf_(std::move(initial)) {}
+  /// Start empty with room for `capacity` bytes.  An encoder that sizes its
+  /// output first and writes exactly that much allocates once.
+  explicit Writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
@@ -61,7 +62,7 @@ class Writer {
   /// Raw bytes, no length prefix.
   void bytes(BytesView v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
   /// Length-prefixed (u16) byte string; rejects nothing — caller enforces
-  /// limits before serializing.
+  /// limits before serializing (sig::fits_frame for signaling messages).
   void lp_bytes(BytesView v) {
     u16(static_cast<std::uint16_t>(v.size()));
     bytes(v);

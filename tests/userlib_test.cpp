@@ -147,6 +147,74 @@ TEST_F(LibFixture, OpenToEmptyDestinationFails) {
   EXPECT_EQ(*err, util::Errc::no_route);
 }
 
+TEST_F(LibFixture, OversizeFieldsFailBeforeAnythingIsSent) {
+  CallServer server(r1(), r1().ip_node().address(), "big", 4920);
+  server.start([](util::Result<void>) {});
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid pid = r0().spawn("big-open");
+  app::UserLib lib(r0(), pid, r0().ip_node().address());
+  // The framed body's u16 length cannot carry a 70 000-byte comment.  The
+  // open fails at once, before the channel even exists.
+  const std::string huge(70'000, 'c');
+  std::optional<util::Errc> err;
+  lib.open_connection("berkeley.rt", "big", huge, "",
+                      [&](util::Result<app::OpenResult> r) { err = r.error(); });
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, util::Errc::message_too_long);
+  EXPECT_EQ(r0().fd_in_use(pid), 0u);
+
+  std::optional<util::Errc> export_err;
+  lib.export_service(huge, 4921,
+                     [&](util::Result<void> r) { export_err = r.error(); });
+  ASSERT_TRUE(export_err.has_value());
+  EXPECT_EQ(*export_err, util::Errc::message_too_long);
+
+  // The same library still opens a normal call.
+  std::optional<app::OpenResult> ok;
+  lib.open_connection("berkeley.rt", "big", "", "",
+                      [&](util::Result<app::OpenResult> r) {
+                        ASSERT_TRUE(r.ok());
+                        ok = *r;
+                      });
+  tb->sim().run_for(sim::seconds(2));
+  EXPECT_TRUE(ok.has_value());
+}
+
+TEST_F(LibFixture, OversizeAcceptFailsAndTheCallCanStillBeAccepted) {
+  kern::Pid spid = r1().spawn("big-server");
+  app::UserLib slib(r1(), spid, r1().ip_node().address());
+  slib.export_service("bigacc", 4922, [](util::Result<void>) {});
+  std::optional<app::IncomingRequest> req;
+  slib.await_service_request(
+      [&](util::Result<app::IncomingRequest> r) { req = *r; });
+  tb->sim().run_for(sim::milliseconds(300));
+
+  kern::Pid cpid = r0().spawn("client");
+  app::UserLib clib(r0(), cpid, r0().ip_node().address());
+  std::optional<bool> opened;
+  clib.open_connection("berkeley.rt", "bigacc", "", "",
+                       [&](util::Result<app::OpenResult> r) { opened = r.ok(); });
+  tb->sim().run_for(sim::seconds(1));
+  ASSERT_TRUE(req.has_value());
+
+  std::optional<util::Errc> err;
+  slib.accept_connection(*req, std::string(70'000, 'q'),
+                         [&](util::Result<app::OpenResult> r) { err = r.error(); });
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, util::Errc::message_too_long);
+
+  bool accepted = false;
+  slib.accept_connection(*req, req->qos, [&](util::Result<app::OpenResult> r) {
+    ASSERT_TRUE(r.ok());
+    accepted = true;
+    (void)slib.bind_data_socket(*r);
+  });
+  tb->sim().run_for(sim::seconds(2));
+  EXPECT_TRUE(accepted);
+  EXPECT_EQ(opened, std::optional<bool>(true));
+}
+
 TEST_F(LibFixture, AwaitQueuesWhenRequestsArriveFirst) {
   kern::Pid pid = r1().spawn("lazy-await");
   app::UserLib lib(r1(), pid, r1().ip_node().address());
@@ -229,6 +297,35 @@ TEST(KernelBuffering, RxQueueOverflowDropsLikeADatagramSocket) {
   ASSERT_TRUE(k.xunet_on_receive(pid, *fd, [&](util::BytesView) { ++got; }).ok());
   sim.run();
   EXPECT_EQ(got, 64);
+}
+
+TEST(KernelBuffering, QueuedUpcallsRunTheHandlerRegisteredWhenScheduled) {
+  sim::Simulator sim;
+  kern::Kernel k(sim, "m", kern::Kernel::Role::host, ip::make_ip(9, 9, 9, 9),
+                 atm::AtmAddress{"m"});
+  kern::Pid pid = k.spawn("reader");
+  auto fd = k.xunet_socket(pid);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(k.xunet_bind(pid, *fd, 70, 1).ok());
+  auto frame = [&] {
+    k.orc().input(70, kern::MbufChain::from_bytes(util::Buffer(8, 0x2), 128));
+  };
+  for (int i = 0; i < 3; ++i) frame();
+  // Registering drains the buffered frames into upcalls bound to `first`;
+  // replacing the handler before they fire must not redirect them.
+  int first = 0, second = 0;
+  ASSERT_TRUE(k.xunet_on_receive(pid, *fd, [&](util::BytesView) { ++first; }).ok());
+  ASSERT_TRUE(k.xunet_on_receive(pid, *fd, [&](util::BytesView) { ++second; }).ok());
+  frame();
+  sim.run();
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(second, 1);
+
+  // An upcall queued for a process that dies before it fires is dropped.
+  frame();
+  ASSERT_TRUE(k.kill_process(pid).ok());
+  sim.run();
+  EXPECT_EQ(second, 1);
 }
 
 TEST(KernelBuffering, TcpDataBeforeHandlerIsDelivered) {

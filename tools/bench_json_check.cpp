@@ -116,7 +116,8 @@ const std::map<std::string, std::vector<std::string>>& required_keys() {
       {"datapath",
        {"cells_per_sec_wall", "peak_event_queue_depth", "allocs_per_cell"}},
       {"signaling",
-       {"calls_per_sec_wall", "setup_ms_p50", "setup_ms_p90", "setup_ms_p99"}},
+       {"calls_per_sec_wall", "setup_ms_p50", "setup_ms_p90", "setup_ms_p99",
+        "allocs_per_call"}},
       {"scaling", {"open_connections_held"}},
       {"call_load",
        {"live_vcs_peak", "wall_us_per_call_lo", "wall_us_per_call_hi",
